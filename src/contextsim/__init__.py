@@ -78,6 +78,7 @@ from .states import (
     check_rotation_invariance,
     density,
     rotation_operator_spin1,
+    singlet,
     spin1_singlet,
     spin32_singlet,
     unitary_invariance_defect,

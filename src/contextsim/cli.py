@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .greechie import diagram_from_contexts, diagram_to_dict, is_separating, lin
 from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
 from .scenarios import SCENARIOS, Scenario, get_scenario
-from .states import BipartiteState, density, spin1_singlet, spin32_singlet
+from .states import BipartiteState, density, singlet
 
 DEFAULT_SEED = 42
 CLOSED_FORM_TOL = 1e-9
@@ -97,29 +98,23 @@ def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
-def _parse_ray(entry) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entry], dtype=complex)
-
-
 def _parse_basis(entries) -> list[np.ndarray]:
-    return [_parse_ray(vec) for vec in entries]
+    try:
+        return [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
+    except (TypeError, ValueError):
+        raise ValueError("a basis must be a list of rays, each a list of [re, im] number pairs") from None
 
 
 def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _state_for_dim(dim: int) -> BipartiteState:
-    if dim == 3:
-        return spin1_singlet()
-    if dim == 4:
-        return spin32_singlet()
-    raise ValueError(f"no entangled state available for local dimension {dim}")
-
-
 def _load_basis_file(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("basis file must hold a JSON object")
+    return data
 
 
 def _custom_pair(args) -> tuple[BipartiteState, ContextOperator, ContextOperator, None]:
@@ -131,11 +126,13 @@ def _custom_pair(args) -> tuple[BipartiteState, ContextOperator, ContextOperator
     left_basis = _parse_basis(data["left"])
     right_basis = _parse_basis(data["right"])
     dim = len(left_basis)
+    if len(right_basis) != dim:
+        raise ValueError(f"left basis has {dim} rays but right basis has {len(right_basis)}")
     left = _parse_spectrum(args.left) if args.left else tuple(float(k) for k in range(1, dim + 1))
     right = _parse_spectrum(args.right) if args.right else tuple(float(k) for k in range(dim + 1, 2 * dim + 1))
     a = context_from_basis(left_basis, left, label="custom-left")
     b = context_from_basis(right_basis, right, label="custom-right")
-    return _state_for_dim(a.dim), a, b, None
+    return singlet(a.dim), a, b, None
 
 
 def _named_pair(
@@ -253,8 +250,6 @@ def cmd_joint(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    if args.shots < 0:
-        raise ValueError("--shots must be nonnegative")
     state, a, b, closed = _build_pair(args)
     table = joint_distribution(state, a, b)
     _check_table(state, a, b, table)
@@ -286,6 +281,8 @@ def _contexts_for_states(args) -> list[ContextOperator]:
             raise ValueError("scenario 'custom' requires --basis-file")
         data = _load_basis_file(args.basis_file)
         if "contexts" in data:
+            if not isinstance(data["contexts"], list):
+                raise ValueError("'contexts' must be a list of bases")
             contexts = []
             for k, basis in enumerate(data["contexts"]):
                 rays = _parse_basis(basis)
@@ -398,10 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError("--tol must be finite and nonnegative")
+    if getattr(args, "shots", 0) < 0:
+        raise ValueError("--shots must be nonnegative")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         payload = args.handler(args)
         _emit(payload, args.out)
     except ConsistencyFailure as exc:

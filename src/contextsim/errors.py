@@ -10,7 +10,7 @@ class NotHermitianError(ContextsimError):
 
 
 class NoConvergenceError(ContextsimError):
-    """The iterative eigensolver did not reach the target accuracy."""
+    """numpy's ``eigh`` (LAPACK) failed to converge on the input matrix."""
 
 
 class ZeroVectorError(ContextsimError):

@@ -1,13 +1,12 @@
 """Dense complex linear algebra for small fixed dimensions (3, 4, 9, 16).
 
 All values are plain numpy arrays of dtype complex128 and every function is
-pure. The eigensolver is a cyclic Jacobi iteration specialized to Hermitian
-input: at these dimensions robustness and auditability beat asymptotics.
+pure. The eigensolver is numpy's ``eigh`` (LAPACK), wrapped to fix each
+eigenvector's phase so results are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,11 +14,10 @@ import numpy as np
 
 from .errors import NoConvergenceError, NotHermitianError, ZeroVectorError
 
-CONVERGENCE_TOL = 1e-12
 MERGE_TOL = 1e-8
-MAX_SWEEPS = 100
 PHASE_CUTOFF = 1e-8
 HERMITICITY_TOL = 1e-10
+PROJECTOR_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,87 +80,28 @@ def fix_phase(v: np.ndarray, cutoff: float = PHASE_CUTOFF) -> np.ndarray:
     return v
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(mat: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
-    """One two-sided plane rotation annihilating mat[p, q] (in place).
-
-    The rotation is the unitary U that diagonalizes the 2x2 Hermitian block
-    at (p, q): a real Jacobi rotation composed with the phase that makes the
-    off-diagonal entry real. ``vec`` accumulates the product of rotations,
-    so its columns converge to the eigenvectors.
-    """
-    apq = mat[p, q]
-    phase = apq / abs(apq)
-    angle = 0.5 * math.atan2(2.0 * abs(apq), mat[p, p].real - mat[q, q].real)
-    c = math.cos(angle)
-    s = math.sin(angle)
-
-    col_p = mat[:, p].copy()
-    col_q = mat[:, q].copy()
-    mat[:, p] = c * col_p + s * np.conj(phase) * col_q
-    mat[:, q] = -s * col_p + c * np.conj(phase) * col_q
-    row_p = mat[p, :].copy()
-    row_q = mat[q, :].copy()
-    mat[p, :] = c * row_p + s * phase * row_q
-    mat[q, :] = -s * row_p + c * phase * row_q
-    # zero by construction; keep it exact
-    mat[p, q] = 0.0
-    mat[q, p] = 0.0
-
-    vec_p = vec[:, p].copy()
-    vec_q = vec[:, q].copy()
-    vec[:, p] = c * vec_p + s * np.conj(phase) * vec_q
-    vec[:, q] = -s * vec_p + c * np.conj(phase) * vec_q
-
-
-def hermitian_eigensystem(
-    a,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi.
+def hermitian_eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian matrix via ``np.linalg.eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as the columns of a unitary matrix, each
     phase-fixed via :func:`fix_phase`.
 
     Raises:
-        NotHermitianError: input deviates from Hermiticity beyond 1e-10.
-        NoConvergenceError: off-diagonal norm not reduced below ``tol``
-            within ``max_sweeps`` sweeps.
+        NotHermitianError: input deviates from Hermiticity beyond
+            ``HERMITICITY_TOL``.
+        NoConvergenceError: LAPACK's eigensolver did not converge.
     """
     m = as_matrix(a)
     if not is_hermitian(m):
-        raise NotHermitianError("matrix is not Hermitian within 1e-10")
-    n = m.shape[0]
-    mat = (m + m.conj().T) / 2.0
-    vec = np.eye(n, dtype=complex)
-    # entries below this cannot push the off-diagonal norm above tol
-    skip = tol / max(n * n, 1)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(mat) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(mat[p, q]) > skip:
-                    _rotate(mat, vec, p, q)
-    if _offdiag_norm(mat) > tol:
-        raise NoConvergenceError(
-            f"off-diagonal norm {_offdiag_norm(mat):.3e} > {tol:.3e} "
-            f"after {max_sweeps} sweeps"
-        )
-    eigenvalues = np.real(np.diag(mat)).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vec = vec[:, order]
-    for k in range(n):
-        vec[:, k] = fix_phase(vec[:, k])
-    return eigenvalues, vec
+        raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
+    try:
+        eigenvalues, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from None
+    for k in range(vectors.shape[1]):
+        vectors[:, k] = fix_phase(vectors[:, k])
+    return eigenvalues, vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +128,18 @@ class SpectralDecomposition:
         for proj, mult in zip(self.projectors, self.multiplicities):
             if proj.shape != (dim, dim):
                 raise ValueError("projectors must share one dimension")
-            if not is_hermitian(proj, 1e-9):
+            if not is_hermitian(proj, PROJECTOR_TOL):
                 raise ValueError("projector is not Hermitian")
-            if float(np.max(np.abs(proj @ proj - proj))) > 1e-9:
+            if float(np.max(np.abs(proj @ proj - proj))) > PROJECTOR_TOL:
                 raise ValueError("projector is not idempotent")
-            if abs(np.trace(proj).real - mult) > 1e-9:
+            if abs(np.trace(proj).real - mult) > PROJECTOR_TOL:
                 raise ValueError("projector rank does not match multiplicity")
             total += proj
-        if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:
+        if float(np.max(np.abs(total - np.eye(dim)))) > PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
         for i in range(len(self.projectors)):
             for j in range(i + 1, len(self.projectors)):
-                if float(np.max(np.abs(self.projectors[i] @ self.projectors[j]))) > 1e-9:
+                if float(np.max(np.abs(self.projectors[i] @ self.projectors[j]))) > PROJECTOR_TOL:
                     raise ValueError("projectors are not mutually orthogonal")
 
     @property
@@ -208,18 +147,14 @@ class SpectralDecomposition:
         return self.projectors[0].shape[0]
 
 
-def spectral_projectors(
-    a,
-    tol: float = CONVERGENCE_TOL,
-    merge_tol: float = MERGE_TOL,
-) -> SpectralDecomposition:
+def spectral_projectors(a, merge_tol: float = MERGE_TOL) -> SpectralDecomposition:
     """Group the eigensystem of a Hermitian matrix into eigenspace projectors.
 
     Adjacent eigenvalues whose gap is at most ``merge_tol`` are treated as
     one (degenerate) eigenvalue; each projector is the sum of the rank-1
     projectors of its group.
     """
-    eigenvalues, vectors = hermitian_eigensystem(a, tol=tol)
+    eigenvalues, vectors = hermitian_eigensystem(a)
     boundaries = [0]
     for k in range(1, len(eigenvalues)):
         if eigenvalues[k] - eigenvalues[k - 1] > merge_tol:

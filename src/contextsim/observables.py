@@ -100,15 +100,24 @@ def check_distinct_spectrum(values: Sequence[float], merge_tol: float = MERGE_TO
     return spectrum
 
 
+def _synthesize(basis: Sequence[np.ndarray], spectrum: Sequence[float]) -> np.ndarray:
+    """The spectral synthesis sum(spectrum[k] * |basis[k]><basis[k]|)."""
+    dim = basis[0].shape[0]
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for lam, ray in zip(spectrum, basis):
+        matrix += lam * projector_from_ray(ray)
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class ContextOperator:
     """A maximal observable: Hermitian matrix, orthonormal outcome basis,
     one distinct real eigenvalue per basis ray.
 
     Construction verifies that ``matrix`` equals the spectral synthesis
-    sum(spectrum[k] * |basis[k]><basis[k]|) within 1e-10, so independently
-    built matrices (e.g. from spin-operator combinations) are cross-checked
-    against their declared eigensystem.
+    sum(spectrum[k] * |basis[k]><basis[k]|) within ``SYNTHESIS_TOL``, so
+    independently built matrices (e.g. from spin-operator combinations) are
+    cross-checked against their declared eigensystem.
     """
 
     matrix: np.ndarray
@@ -126,10 +135,7 @@ class ContextOperator:
         gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
         if float(np.max(np.abs(gram - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
-        synthesized = np.zeros((dim, dim), dtype=complex)
-        for lam, ray in zip(spectrum, basis):
-            synthesized += lam * projector_from_ray(ray)
-        if float(np.max(np.abs(matrix - synthesized))) > SYNTHESIS_TOL:
+        if float(np.max(np.abs(matrix - _synthesize(basis, spectrum)))) > SYNTHESIS_TOL:
             raise ValueError("matrix does not match the declared eigenbasis and spectrum")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basis", basis)
@@ -230,12 +236,12 @@ def context_from_basis(
     basis: Sequence[np.ndarray],
     spectrum: Sequence[float],
     label: str = "",
-    tol: float = BASIS_TOL,
 ) -> ContextOperator:
     """Context operator from an arbitrary orthonormal basis and spectrum.
 
-    Raises NonOrthonormalBasisError / DegenerateSpectrumError on invalid
-    input; the matrix is the spectral synthesis over the basis rays.
+    The matrix is the spectral synthesis over the basis rays. Raises
+    NonOrthonormalBasisError / DegenerateSpectrumError on invalid input;
+    orthonormality is checked by :class:`ContextOperator`.
     """
     rays = tuple(as_vector(v) for v in basis)
     values = check_distinct_spectrum(spectrum)
@@ -244,10 +250,4 @@ def context_from_basis(
     dim = rays[0].shape[0]
     if any(r.shape[0] != dim for r in rays) or len(rays) != dim:
         raise NonOrthonormalBasisError("basis must consist of dim vectors of length dim")
-    gram = np.array([[np.vdot(u, v) for v in rays] for u in rays])
-    if float(np.max(np.abs(gram - np.eye(dim)))) > tol:
-        raise NonOrthonormalBasisError(f"basis is not orthonormal within {tol}")
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for lam, ray in zip(values, rays):
-        matrix += lam * projector_from_ray(ray)
-    return ContextOperator(matrix=matrix, basis=rays, spectrum=values, label=label)
+    return ContextOperator(matrix=_synthesize(rays, values), basis=rays, spectrum=values, label=label)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .observables import ContextOperator, four_dim_contexts, ks_context, ks_context_prime
-from .states import BipartiteState, spin1_singlet, spin32_singlet
+from .states import BipartiteState, singlet
 
 Spectrum = Sequence[float]
 
@@ -33,7 +33,7 @@ class Scenario:
         return self._left_builder(*left), self._right_builder(*right)
 
     def state(self) -> BipartiteState:
-        return spin1_singlet() if self.dim == 3 else spin32_singlet()
+        return singlet(self.dim)
 
     def closed_form(self, left: Spectrum, right: Spectrum) -> float:
         return self._closed_form(left, right)

@@ -18,6 +18,7 @@ from .linalg import (
     as_vector,
     hermitian_eigensystem,
     is_hermitian,
+    is_unitary,
     matrix_function_from_spectrum,
     spectral_projectors,
 )
@@ -96,6 +97,15 @@ def spin32_singlet() -> BipartiteState:
     return BipartiteState(local_dim=4, amplitudes=amplitudes, label="spin32-singlet")
 
 
+def singlet(local_dim: int) -> BipartiteState:
+    """The total-spin-zero state for local dimension 3 (spin 1) or 4 (spin 3/2)."""
+    if local_dim == 3:
+        return spin1_singlet()
+    if local_dim == 4:
+        return spin32_singlet()
+    raise UnsupportedDimensionError(f"no entangled state available for local dimension {local_dim}")
+
+
 def density(state: BipartiteState) -> DensityMatrix:
     """Rank-1 density matrix |state><state|."""
     amp = state.amplitudes
@@ -114,15 +124,20 @@ def rotation_operator_spin1(d: Direction, angle: float) -> np.ndarray:
 
 
 def unitary_invariance_defect(state: BipartiteState, u: np.ndarray) -> float:
-    """Infidelity 1 - |<state| (U x U) |state>| for a local unitary U."""
+    """Infidelity 1 - |<state| (U x U) |state>| for a local unitary U.
+
+    Raises ValueError when ``u`` is not unitary; roundoff that would make
+    the infidelity negative is clamped to zero."""
     matrix = as_matrix(u)
     if matrix.shape[0] != state.local_dim:
         raise DimensionMismatchError(
             f"unitary acts on dimension {matrix.shape[0]}, state is local dimension {state.local_dim}"
         )
+    if not is_unitary(matrix):
+        raise ValueError("invariance defect requires a unitary operator")
     transformed = np.kron(matrix, matrix) @ state.amplitudes
     overlap = np.vdot(state.amplitudes, transformed)
-    return 1.0 - abs(overlap)
+    return max(0.0, 1.0 - abs(overlap))
 
 
 def check_rotation_invariance(state: BipartiteState, d: Direction, angle: float) -> float:

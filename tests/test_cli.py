@@ -288,3 +288,48 @@ def test_module_entry_point_round_trip(tmp_path):
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["expectation"] == 10.5
+
+
+def assert_one_line_validation_failure(capsys, *argv):
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_basis_of_numbers_exits_with_one_line(tmp_path, capsys):
+    basis = write_basis_file(tmp_path / "b.json", {"left": 5, "right": 5})
+    assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
+
+
+def test_non_numeric_ray_entry_exits_with_one_line(tmp_path, capsys):
+    bad = [["a", 0], [0.0, 0.0], [0.0, 0.0]]
+    basis = write_basis_file(tmp_path / "b.json", {"left": [bad, RAY_010, RAY_001], "right": BASIS_3})
+    assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
+
+
+def test_mismatched_basis_sizes_name_both_sizes(tmp_path, capsys):
+    basis_4 = [[[float(i == k), 0.0] for i in range(4)] for k in range(4)]
+    basis = write_basis_file(tmp_path / "b.json", {"left": BASIS_3, "right": basis_4})
+    code = cli.main(["expectation", "--scenario", "custom", "--basis-file", basis])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == ["error: left basis has 3 rays but right basis has 4"]
+
+
+def test_basis_file_must_hold_an_object(tmp_path, capsys):
+    basis = write_basis_file(tmp_path / "b.json", [BASIS_3, BASIS_3])
+    assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+    basis = write_basis_file(tmp_path / "c.json", {"contexts": 5})
+    assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tol_exits_with_one_line(capsys, tol):
+    assert_one_line_validation_failure(capsys, "joint", "--scenario", "ks-mixed", "--tol", tol)
+
+
+def test_negative_shots_exits_with_one_line(tmp_path, capsys):
+    csv = str(tmp_path / "shots.csv")
+    assert_one_line_validation_failure(capsys, "sample", "--scenario", "ks-mixed", "--shots", "-5", "--csv", csv)

@@ -13,6 +13,7 @@ from contextsim.states import (
     check_rotation_invariance,
     density,
     rotation_operator_spin1,
+    singlet,
     spin1_singlet,
     spin32_singlet,
     unitary_invariance_defect,
@@ -120,6 +121,27 @@ def test_singlet_not_invariant_under_generic_unitary():
     # exact value 1 - sqrt(7)/3 for this phase gate
     assert defect > 0.01
     assert abs(defect - (1.0 - math.sqrt(7.0) / 3.0)) < 1e-12
+
+
+def test_invariance_defect_rejects_non_unitary_operator():
+    with pytest.raises(ValueError):
+        unitary_invariance_defect(spin1_singlet(), 2.0 * np.eye(3))
+
+
+def test_invariance_defect_is_never_negative():
+    rng = np.random.default_rng(47)
+    state = spin1_singlet()
+    for _ in range(500):
+        d = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        assert check_rotation_invariance(state, d, rng.uniform(-2.0 * math.pi, 2.0 * math.pi)) >= 0.0
+
+
+def test_singlet_by_local_dimension():
+    assert singlet(3).label == "spin1-singlet"
+    assert singlet(4).label == "spin32-singlet"
+    for dim in (2, 5):
+        with pytest.raises(UnsupportedDimensionError):
+            singlet(dim)
 
 
 def test_rotation_invariance_rejects_wrong_dimension():
