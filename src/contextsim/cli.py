@@ -359,7 +359,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=SUPPORT_THRESHOLD,
-        help="support threshold separating algebraic zeros from roundoff (default 1e-10)",
+        help=f"support threshold separating algebraic zeros from roundoff (default {SUPPORT_THRESHOLD})",
     )
 
 

@@ -47,22 +47,25 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
-# Cases whose shot CSV is pinned as well; the CSV path derives from --out.
-WITH_CSV = {"sample-ks-mixed-batches3": "run.csv"}
 
 
 def render(name: str, tmp: Path) -> dict[str, bytes]:
-    """Run one case; return its output bytes keyed by fixture file name."""
+    """Run one case; return its output bytes keyed by fixture file name.
+
+    A case with ``--out`` also pins its shot CSV, whose path derives from it.
+    """
     argv = [arg.replace("{tmp}", str(tmp)) for arg in CASES[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
     assert code == cli.EXIT_OK, f"{name} exited {code}"
-    report = (tmp / "run.json").read_text(encoding="utf-8") if "--out" in argv else stdout.getvalue()
-    outputs = {f"{name}.json": report.replace(str(tmp), "<tmp>").encode("utf-8")}
-    if name in WITH_CSV:
-        outputs[f"{name}.csv"] = (tmp / WITH_CSV[name]).read_bytes()
-    return outputs
+    if "--out" not in argv:
+        return {f"{name}.json": stdout.getvalue().replace(str(tmp), "<tmp>").encode("utf-8")}
+    out = Path(argv[argv.index("--out") + 1])
+    return {
+        f"{name}.json": out.read_text(encoding="utf-8").replace(str(tmp), "<tmp>").encode("utf-8"),
+        f"{name}.csv": out.with_suffix(".csv").read_bytes(),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
