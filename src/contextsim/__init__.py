@@ -65,7 +65,6 @@ from .observables import (
 )
 from .sampler import (
     EmpiricalReport,
-    ShotRecord,
     derive_batch_seed,
     empirical_report,
     sample,

@@ -253,14 +253,14 @@ def cmd_sample(args) -> dict:
     state, a, b, closed = _build_pair(args)
     table = joint_distribution(state, a, b)
     _check_table(state, a, b, table)
-    records = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
-    report = empirical_report(records, table, seed=args.seed)
+    shots = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
+    report = empirical_report(shots, table, seed=args.seed)
     if args.scenario != "custom":
         for i, j in get_scenario(args.scenario).forbidden_cells:
             if report.counts[i, j] != 0:
                 raise ConsistencyFailure(f"forbidden cell ({i}, {j}) drew {report.counts[i, j]} shots")
-    csv_path = args.csv or (str(Path(args.out).with_suffix(".csv")) if args.out else "shots.csv")
-    write_shot_csv(records, table, csv_path)
+    csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
+    write_shot_csv(shots, table, csv_path)
     return {
         "command": "sample",
         "scenario": args.scenario,
@@ -379,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="simulated shots: CSV records plus a JSON report")
     _add_common(p)
     p.add_argument("--shots", type=int, default=10000, help="number of coincidence shots")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generator seed (recorded in output)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generator seed in [0, 2^64) (recorded in output)")
     p.add_argument("--batches", type=int, default=1, help="independently seeded batches")
-    p.add_argument("--csv", help="shot CSV path (default derived from --out, else shots.csv)")
+    p.add_argument("--csv", help="shot CSV path (default: --out with a .csv suffix; one of the two is required)")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("states", help="orthogonality diagram and its two-valued states")
@@ -398,8 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError("--tol must be finite and nonnegative")
-    if getattr(args, "shots", 0) < 0:
+    if args.command != "sample":
+        return
+    if args.shots < 0:
         raise ValueError("--shots must be nonnegative")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("--seed must be in [0, 2^64)")
+    if not (args.csv or args.out):
+        raise ValueError("sample needs --csv or --out to name the shot CSV")
 
 
 def main(argv=None) -> int:

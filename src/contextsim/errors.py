@@ -38,7 +38,7 @@ class BadCellIndexError(ContextsimError):
 
 
 class ShapeMismatchError(ContextsimError):
-    """Shot records do not match the shape of the source table."""
+    """Shot slots do not fit the shape of the source table."""
 
 
 class UnsupportedDimensionError(ContextsimError):

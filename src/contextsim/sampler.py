@@ -9,9 +9,7 @@ outright: outcomes with exact probability zero can never be drawn.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,12 +17,9 @@ from .correlations import SUPPORT_THRESHOLD, JointTable
 from .errors import ShapeMismatchError
 
 _MASK64 = (1 << 64) - 1
-
-
-class ShotRecord(NamedTuple):
-    shot: int
-    left_slot: int
-    right_slot: int
+_CSV_HEADER = "shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
+# Rows rendered per write: bounds the memory the CSV text holds; the bytes written do not depend on it.
+_CSV_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +46,7 @@ def derive_batch_seed(seed: int, batch: int) -> int:
 
 
 def _draw(table: JointTable, n: int, seed: int, support_threshold: float) -> np.ndarray:
-    """n inverse-CDF draws; returns cell indices into the kept-cell list."""
+    """n inverse-CDF draws; returns an (n, 2) array of (left, right) slots."""
     p = table.probabilities
     kept = [(i, j) for i in range(p.shape[0]) for j in range(p.shape[1]) if p[i, j] > support_threshold]
     probabilities = np.array([p[i, j] for i, j in kept])
@@ -70,49 +65,50 @@ def sample(
     seed: int,
     batches: int = 1,
     support_threshold: float = SUPPORT_THRESHOLD,
-) -> list[ShotRecord]:
+) -> np.ndarray:
     """Draw ``n`` i.i.d. outcome pairs from ``table``.
+
+    Returns an ``(n, 2)`` int64 array whose row ``k`` holds the (left slot,
+    right slot) of shot ``k``. ``seed`` must lie in [0, 2^64).
 
     ``batches`` splits the stream into independently seeded chunks (seeds
     derived by :func:`derive_batch_seed`) whose concatenation is still fully
     determined by (seed, batches); the default single batch uses ``seed``
-    directly.
+    directly. Only the first ``min(batches, n)`` chunks hold shots.
     """
     if n < 0:
         raise ValueError("shot count must be nonnegative")
     if batches < 1:
         raise ValueError("need at least one batch")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must be in [0, 2^64)")
     if n == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     if batches == 1:
-        drawn = _draw(table, n, seed, support_threshold)
-    else:
-        base = n // batches
-        remainder = n % batches
-        chunks = []
-        for b in range(batches):
-            size = base + (1 if b < remainder else 0)
-            if size:
-                chunks.append(_draw(table, size, derive_batch_seed(seed, b), support_threshold))
-        drawn = np.concatenate(chunks)
-    return [
-        ShotRecord(shot=k, left_slot=int(ls), right_slot=int(rs))
-        for k, (ls, rs) in enumerate(drawn)
-    ]
+        return _draw(table, n, seed, support_threshold)
+    base, extra = divmod(n, batches)
+    return np.concatenate(
+        [_draw(table, base + (b < extra), derive_batch_seed(seed, b), support_threshold) for b in range(min(batches, n))]
+    )
 
 
-def empirical_report(
-    records: Sequence[ShotRecord], table: JointTable, seed: int | None = None
-) -> EmpiricalReport:
-    """Tally a shot stream and compare frequencies with the exact table."""
+def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
+    """Row-major table cell of each shot; rejects slots outside the table."""
     n_left, n_right = table.shape
-    counts = np.zeros((n_left, n_right), dtype=np.int64)
-    if records:
-        arr = np.asarray([(r.left_slot, r.right_slot) for r in records], dtype=np.int64)
-        if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_left or arr[:, 1].min() < 0 or arr[:, 1].max() >= n_right:
-            raise ShapeMismatchError(f"record slots outside a {n_left}x{n_right} table")
-        np.add.at(counts, (arr[:, 0], arr[:, 1]), 1)
-    total = len(records)
+    slots = np.asarray(shots, dtype=np.int64)
+    if slots.ndim != 2 or slots.shape[1] != 2:
+        raise ShapeMismatchError(f"shots must form an (n, 2) slot array, not shape {slots.shape}")
+    left, right = slots[:, 0], slots[:, 1]
+    if ((left < 0) | (left >= n_left) | (right < 0) | (right >= n_right)).any():
+        raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table")
+    return left * n_right + right
+
+
+def empirical_report(shots: np.ndarray, table: JointTable, seed: int | None = None) -> EmpiricalReport:
+    """Tally an (n, 2) shot stream and compare frequencies with the exact table."""
+    n_left, n_right = table.shape
+    counts = np.bincount(_cells(shots, table), minlength=n_left * n_right).reshape(n_left, n_right)
+    total = int(counts.sum())
     frequencies = counts / total if total else np.zeros_like(counts, dtype=float)
     deviation = float(np.max(np.abs(frequencies - table.probabilities))) if total else float("nan")
     return EmpiricalReport(
@@ -124,23 +120,20 @@ def empirical_report(
     )
 
 
-def write_shot_csv(records: Sequence[ShotRecord], table: JointTable, path) -> None:
-    """Export shots with eigenvalue labels resolved from the table.
+def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
+    """Export an (n, 2) shot stream with eigenvalue labels resolved from the table.
 
-    Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue.
+    Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue; CSV
+    row ``k`` is shot (array row) ``k``. Lines end in CRLF.
     """
-    left_values = {slot: value for slot, value in table.left_labels}
-    right_values = {slot: value for slot, value in table.right_labels}
+    cells = _cells(shots, table)
+    left_values, right_values = dict(table.left_labels), dict(table.right_labels)
+    n_left, n_right = table.shape
+    suffix = [
+        f"{i},{left_values[i]:.15g},{j},{right_values[j]:.15g}\r\n" for i in range(n_left) for j in range(n_right)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["shot", "left_slot", "left_eigenvalue", "right_slot", "right_eigenvalue"])
-        for record in records:
-            writer.writerow(
-                [
-                    record.shot,
-                    record.left_slot,
-                    f"{left_values[record.left_slot]:.15g}",
-                    record.right_slot,
-                    f"{right_values[record.right_slot]:.15g}",
-                ]
-            )
+        handle.write(_CSV_HEADER)
+        for start in range(0, len(cells), _CSV_CHUNK_ROWS):
+            chunk = cells[start : start + _CSV_CHUNK_ROWS].tolist()
+            handle.write("".join([f"{k},{suffix[c]}" for k, c in enumerate(chunk, start)]))

@@ -249,7 +249,7 @@ def test_criterion_9_sampling_statistics(tmp_path):
     path_b = tmp_path / "b.csv"
     write_shot_csv(first, table, path_a)
     write_shot_csv(second, table, path_b)
-    identical = first == second and path_a.read_bytes() == path_b.read_bytes()
+    identical = np.array_equal(first, second) and path_a.read_bytes() == path_b.read_bytes()
     report(
         9,
         deviation < 5e-3 and identical,

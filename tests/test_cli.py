@@ -333,3 +333,21 @@ def test_bad_tol_exits_with_one_line(capsys, tol):
 def test_negative_shots_exits_with_one_line(tmp_path, capsys):
     csv = str(tmp_path / "shots.csv")
     assert_one_line_validation_failure(capsys, "sample", "--scenario", "ks-mixed", "--shots", "-5", "--csv", csv)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_with_one_line(tmp_path, capsys, seed):
+    csv = tmp_path / "shots.csv"
+    assert_one_line_validation_failure(
+        capsys, "sample", "--scenario", "ks-mixed", "--seed", seed, "--batches", "2", "--csv", str(csv)
+    )
+    assert not csv.exists()
+
+
+def test_sample_without_csv_or_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == ["error: sample needs --csv or --out to name the shot CSV"]
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,6 @@ from contextsim.correlations import JointTable, joint_distribution
 from contextsim.errors import ShapeMismatchError
 from contextsim.observables import ks_context, ks_context_prime
 from contextsim.sampler import (
-    ShotRecord,
     derive_batch_seed,
     empirical_report,
     sample,
@@ -27,24 +26,24 @@ def degenerate_table():
     return JointTable(left_labels=labels, right_labels=labels, probabilities=p)
 
 
-def test_zero_shots_gives_empty_list():
-    assert sample(mixed_table(), 0, seed=1) == []
+def test_zero_shots_gives_empty_array():
+    assert sample(mixed_table(), 0, seed=1).shape == (0, 2)
 
 
 def test_same_seed_reproduces_the_stream():
     table = mixed_table()
-    assert sample(table, 500, seed=99) == sample(table, 500, seed=99)
+    assert np.array_equal(sample(table, 500, seed=99), sample(table, 500, seed=99))
 
 
 def test_different_seeds_differ():
     table = mixed_table()
-    assert sample(table, 500, seed=1) != sample(table, 500, seed=2)
+    assert not np.array_equal(sample(table, 500, seed=1), sample(table, 500, seed=2))
 
 
 def test_degenerate_table_always_draws_the_certain_cell():
-    records = sample(degenerate_table(), 50, seed=7)
-    assert all(r.left_slot == 0 and r.right_slot == 0 for r in records)
-    assert [r.shot for r in records] == list(range(50))
+    shots = sample(degenerate_table(), 50, seed=7)
+    assert shots.shape == (50, 2)
+    assert (shots == 0).all()
 
 
 def test_forbidden_cells_never_drawn():
@@ -89,17 +88,16 @@ def test_report_counts_match_frequencies():
 
 def test_report_rejects_out_of_range_records():
     with pytest.raises(ShapeMismatchError):
-        empirical_report([ShotRecord(0, 5, 0)], mixed_table())
+        empirical_report(np.array([[5, 0]]), mixed_table())
 
 
 def test_batched_stream_is_deterministic_and_seed_dependent():
     table = mixed_table()
     a = sample(table, 1001, seed=42, batches=4)
     b = sample(table, 1001, seed=42, batches=4)
-    assert a == b
-    assert len(a) == 1001
-    assert [r.shot for r in a] == list(range(1001))
-    assert sample(table, 1001, seed=42, batches=2) != a
+    assert np.array_equal(a, b)
+    assert a.shape == (1001, 2)
+    assert not np.array_equal(sample(table, 1001, seed=42, batches=2), a)
 
 
 def test_batch_seed_mixing_spreads_seeds():
@@ -127,7 +125,20 @@ def test_csv_export(tmp_path):
 
 def test_zero_shot_csv_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_shot_csv([], mixed_table(), path)
+    write_shot_csv(np.empty((0, 2), dtype=np.int64), mixed_table(), path)
     assert path.read_text().splitlines() == [
         "shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue"
     ]
+
+
+def test_batch_loop_is_bounded_by_the_shots():
+    table = mixed_table()
+    shots = sample(table, 5, seed=1, batches=10**12)
+    assert shots.shape == (5, 2)
+    assert np.array_equal(shots, sample(table, 5, seed=1, batches=5))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample(mixed_table(), 10, seed=seed, batches=2)
