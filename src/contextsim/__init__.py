@@ -41,16 +41,11 @@ from .greechie import (
     two_valued_states,
 )
 from .linalg import (
-    SpectralDecomposition,
     fix_phase,
     hermitian_eigensystem,
     is_hermitian,
     is_unitary,
-    kron,
-    matrix_function_from_spectrum,
     projector_from_ray,
-    spectral_projectors,
-    trace,
 )
 from .observables import (
     ContextOperator,

@@ -48,9 +48,9 @@ class ConsistencyFailure(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments by default, which collides with
-    # the consistency-failure code; argument problems are validation failures.
+    # the consistency-failure code; argument problems are validation failures,
+    # reported on one line without the usage block.
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
 

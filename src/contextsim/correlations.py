@@ -18,7 +18,7 @@ from .errors import (
     NonNegligibleImaginaryPartError,
     ZeroVectorError,
 )
-from .linalg import as_vector, kron
+from .linalg import as_vector
 from .observables import ContextOperator
 from .states import BipartiteState, DensityMatrix
 
@@ -59,6 +59,16 @@ class JointTable:
     @property
     def shape(self) -> tuple[int, int]:
         return self.probabilities.shape
+
+    def support(self, tol: float) -> np.ndarray:
+        """Boolean mask of the cells with probability above ``tol``.
+
+        Raises ValueError when no cell clears ``tol``: an empty support has
+        nothing to pair or to draw."""
+        mask = self.probabilities > tol
+        if not mask.any():
+            raise ValueError(f"no table cell has probability above the support threshold {tol}")
+        return mask
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,7 @@ def expectation(rho: DensityMatrix, a: ContextOperator, b: ContextOperator) -> f
         raise DimensionMismatchError(
             f"density matrix dimension {rho.dim} != {a.dim} * {b.dim}"
         )
-    raw = complex(np.trace(rho.matrix @ kron(a.matrix, b.matrix)))
+    raw = complex(np.trace(rho.matrix @ np.kron(a.matrix, b.matrix)))
     if abs(raw.imag) > IMAG_TOL:
         raise NonNegligibleImaginaryPartError(f"trace has imaginary part {raw.imag}")
     return raw.real
@@ -176,12 +186,12 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     Cells with probability above ``tol`` count as populated. The pairing is
     the best (probability-maximizing) slot matching, found exhaustively
     (tables here are at most 4x4). ``violation_mass`` is the probability
-    outside that matching."""
+    outside that matching. Raises ValueError when no cell is populated."""
     p = table.probabilities
     n, m = p.shape
     if n != m:
         raise ValueError("uniqueness is defined for square tables")
-    support = p > tol
+    support = table.support(tol)
 
     best_mass = -1.0
     best_perm: tuple[int, ...] = tuple(range(n))

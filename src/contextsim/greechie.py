@@ -76,8 +76,9 @@ class TwoValuedState:
         )
 
 
-def rays_match(u: np.ndarray, v: np.ndarray, tol: float = RAY_MATCH_TOL) -> bool:
-    """True when u and v span the same ray: |<u,v>| equals |u||v| within tol."""
+def rays_match(u: np.ndarray, v: np.ndarray) -> bool:
+    """True when u and v span the same ray: |<u,v>| equals |u||v| within
+    ``RAY_MATCH_TOL``."""
     a = as_vector(u)
     b = as_vector(v)
     if a.shape != b.shape:
@@ -85,16 +86,14 @@ def rays_match(u: np.ndarray, v: np.ndarray, tol: float = RAY_MATCH_TOL) -> bool
     denom = float(np.linalg.norm(a) * np.linalg.norm(b))
     if denom == 0.0:
         return False
-    return 1.0 - abs(np.vdot(a, b)) / denom <= tol
+    return 1.0 - abs(np.vdot(a, b)) / denom <= RAY_MATCH_TOL
 
 
-def diagram_from_contexts(
-    contexts: Sequence[ContextOperator], tol: float = RAY_MATCH_TOL
-) -> GreechieDiagram:
+def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagram:
     """Build the orthogonality diagram of a list of contexts.
 
     One block per context; basis rays that coincide up to a complex phase
-    (within ``tol``) are merged into a single atom, which makes shared
+    (within ``RAY_MATCH_TOL``) are merged into a single atom, which makes shared
     (link) observables explicit. Atom ids follow first appearance, scanning
     contexts in order and each basis in slot order.
     """
@@ -109,7 +108,7 @@ def diagram_from_contexts(
         block: list[str] = []
         for ray in context.basis:
             for atom in atoms:
-                if atom.ray is not None and rays_match(atom.ray, ray, tol):
+                if atom.ray is not None and rays_match(atom.ray, ray):
                     block.append(atom.id)
                     break
             else:

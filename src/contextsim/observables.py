@@ -17,10 +17,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonOrthonormalBasisError
-from .linalg import MERGE_TOL, as_matrix, as_vector, projector_from_ray
+from .linalg import as_matrix, as_vector, projector_from_ray
 
 TWO_PI = 2.0 * math.pi
 SYNTHESIS_TOL = 1e-10
+MERGE_TOL = 1e-8
 BASIS_TOL = 1e-8
 
 
@@ -86,16 +87,16 @@ def spin1_eigensystem(d: Direction) -> tuple[tuple[float, np.ndarray], ...]:
     return ((1.0, x_plus), (0.0, x_zero), (-1.0, x_minus))
 
 
-def check_distinct_spectrum(values: Sequence[float], merge_tol: float = MERGE_TOL) -> tuple[float, ...]:
-    """Validate that eigenvalues are pairwise distinct beyond ``merge_tol``."""
+def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
+    """Validate that eigenvalues are pairwise distinct beyond ``MERGE_TOL``."""
     spectrum = tuple(float(x) for x in values)
     if not all(math.isfinite(x) for x in spectrum):
         raise ValueError("eigenvalues must be finite")
     for i in range(len(spectrum)):
         for j in range(i + 1, len(spectrum)):
-            if abs(spectrum[i] - spectrum[j]) <= merge_tol:
+            if abs(spectrum[i] - spectrum[j]) <= MERGE_TOL:
                 raise DegenerateSpectrumError(
-                    f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {merge_tol}"
+                    f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {MERGE_TOL}"
                 )
     return spectrum
 

@@ -45,17 +45,13 @@ def derive_batch_seed(seed: int, batch: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _draw(table: JointTable, n: int, seed: int, support_threshold: float) -> np.ndarray:
-    """n inverse-CDF draws; returns an (n, 2) array of (left, right) slots."""
-    p = table.probabilities
-    kept = [(i, j) for i in range(p.shape[0]) for j in range(p.shape[1]) if p[i, j] > support_threshold]
-    probabilities = np.array([p[i, j] for i, j in kept])
-    cdf = np.cumsum(probabilities)
+def _draw(cells: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n inverse-CDF draws over the kept ``cells`` (a (k, 2) slot array with
+    cumulative probabilities ``cdf``); returns an (n, 2) array of slots."""
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(n)
     idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, len(kept) - 1, out=idx)
-    cells = np.array(kept, dtype=np.int64)
+    np.clip(idx, 0, len(cells) - 1, out=idx)
     return cells[idx]
 
 
@@ -69,7 +65,8 @@ def sample(
     """Draw ``n`` i.i.d. outcome pairs from ``table``.
 
     Returns an ``(n, 2)`` int64 array whose row ``k`` holds the (left slot,
-    right slot) of shot ``k``. ``seed`` must lie in [0, 2^64).
+    right slot) of shot ``k``. ``seed`` must lie in [0, 2^64). Raises
+    ValueError when no cell clears ``support_threshold``.
 
     ``batches`` splits the stream into independently seeded chunks (seeds
     derived by :func:`derive_batch_seed`) whose concatenation is still fully
@@ -82,13 +79,16 @@ def sample(
         raise ValueError("need at least one batch")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be in [0, 2^64)")
+    mask = table.support(support_threshold)
     if n == 0:
         return np.empty((0, 2), dtype=np.int64)
+    cells = np.argwhere(mask).astype(np.int64, copy=False)
+    cdf = np.cumsum(table.probabilities[mask])
     if batches == 1:
-        return _draw(table, n, seed, support_threshold)
+        return _draw(cells, cdf, n, seed)
     base, extra = divmod(n, batches)
     return np.concatenate(
-        [_draw(table, base + (b < extra), derive_batch_seed(seed, b), support_threshold) for b in range(min(batches, n))]
+        [_draw(cells, cdf, base + (b < extra), derive_batch_seed(seed, b)) for b in range(min(batches, n))]
     )
 
 

@@ -6,22 +6,13 @@ Bipartite vectors are flattened first-particle-major: the amplitude of
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
-from .linalg import (
-    as_matrix,
-    as_vector,
-    hermitian_eigensystem,
-    is_hermitian,
-    is_unitary,
-    matrix_function_from_spectrum,
-    spectral_projectors,
-)
+from .linalg import as_matrix, as_vector, hermitian_eigensystem, is_hermitian, is_unitary
 from .observables import Direction, spin1_operator
 
 NORM_TOL = 1e-12
@@ -58,7 +49,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         matrix = as_matrix(self.matrix)
-        if not is_hermitian(matrix, DENSITY_TOL):
+        if not is_hermitian(matrix):
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(matrix).real - 1.0) > DENSITY_TOL:
             raise ValueError("density matrix must have unit trace")
@@ -114,13 +105,14 @@ def density(state: BipartiteState) -> DensityMatrix:
 
 def rotation_operator_spin1(d: Direction, angle: float) -> np.ndarray:
     """Rotation of the spin-1 representation about axis ``d`` by ``angle``,
-    exp(-i * angle * J), built by spectral synthesis."""
+    exp(-i * angle * J) = I - i sin(angle) J + (cos(angle) - 1) J^2.
+
+    The closed form holds because the spin-1 component J along any axis has
+    eigenvalues -1, 0, 1 and so satisfies J^3 = J."""
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    decomposition = spectral_projectors(spin1_operator(d))
-    return matrix_function_from_spectrum(
-        decomposition, lambda lam: cmath.exp(-1j * angle * lam)
-    )
+    j = spin1_operator(d)
+    return np.eye(3) - 1j * math.sin(angle) * j + (math.cos(angle) - 1.0) * (j @ j)
 
 
 def unitary_invariance_defect(state: BipartiteState, u: np.ndarray) -> float:

@@ -351,3 +351,17 @@ def test_sample_without_csv_or_out_writes_nothing(tmp_path, monkeypatch, capsys)
     assert code == 1
     assert err.strip().splitlines() == ["error: sample needs --csv or --out to name the shot CSV"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["joint", "sample"])
+def test_tol_above_every_cell_exits_with_one_line(tmp_path, capsys, command):
+    # ks-mixed cells are at most 1/3, so --tol 0.5 leaves no support
+    csv = tmp_path / "shots.csv"
+    argv = [command, "--scenario", "ks-mixed", "--tol", "0.5"]
+    if command == "sample":
+        argv += ["--shots", "10", "--csv", str(csv)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == ["error: no table cell has probability above the support threshold 0.5"]
+    assert not csv.exists()

@@ -242,6 +242,16 @@ def test_uniform_table_is_not_unique():
     assert abs(report.violation_mass - 2.0 / 3.0) < 1e-12
 
 
+def test_support_is_the_mask_above_tol_and_never_empty():
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
+    assert np.array_equal(table.support(1e-10), table.probabilities > 1e-10)
+    # no ks-mixed cell exceeds 1/3
+    with pytest.raises(ValueError, match="support threshold"):
+        table.support(0.5)
+    with pytest.raises(ValueError, match="support threshold"):
+        verify_uniqueness(table, tol=0.5)
+
+
 def test_criterion_mass_vanishes_on_mixed_tables():
     mixed3 = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
     report = contextuality_criterion(mixed3, [(0, 1), (0, 2), (1, 0), (2, 0)])

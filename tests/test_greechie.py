@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextsim.errors import DimensionMismatchError
 from contextsim.greechie import (
@@ -141,6 +143,19 @@ def test_enumeration_matches_brute_force_on_a_chain_of_blocks():
     diagram = GreechieDiagram(atoms=atoms, blocks=blocks, dim=3)
     states = two_valued_states(diagram)
     assert len(states) == len(brute_force_states(diagram))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_enumeration_matches_brute_force_on_random_small_diagrams(data):
+    dim = data.draw(st.sampled_from((3, 4)))
+    ids = [f"a{k}" for k in range(data.draw(st.integers(dim, 10)))]
+    block = st.lists(st.sampled_from(ids), min_size=dim, max_size=dim, unique=True).map(tuple)
+    blocks = tuple(data.draw(st.lists(block, min_size=1, max_size=5)))
+    diagram = GreechieDiagram(atoms=tuple(Atom(id=i) for i in ids), blocks=blocks, dim=dim)
+    states = two_valued_states(diagram)
+    assert [s.assignment for s in states] == brute_force_states(diagram)
+    assert all(s.is_valid_for(diagram) for s in states)
 
 
 def test_unsatisfiable_diagram_yields_no_states():

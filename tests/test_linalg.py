@@ -1,37 +1,12 @@
 """Tests for the dense complex linear-algebra core."""
 
-import math
-
 import numpy as np
 import pytest
 
 from contextsim.errors import NoConvergenceError, NotHermitianError, ZeroVectorError
-from contextsim.linalg import (
-    SpectralDecomposition,
-    fix_phase,
-    hermitian_eigensystem,
-    is_hermitian,
-    is_unitary,
-    kron,
-    matrix_function_from_spectrum,
-    projector_from_ray,
-    spectral_projectors,
-    trace,
-)
-from contextsim.observables import Direction, ks_context, spin1_operator
-
-
-def kron_oracle(a, b):
-    """Independent Kronecker product via the index formula
-    result[ia*d + ib, ja*d + jb] = a[ia, ja] * b[ib, jb]."""
-    na, nb = a.shape[0], b.shape[0]
-    out = np.zeros((na * nb, na * nb), dtype=complex)
-    for ia in range(na):
-        for ja in range(na):
-            for ib in range(nb):
-                for jb in range(nb):
-                    out[ia * nb + ib, ja * nb + jb] = a[ia, ja] * b[ib, jb]
-    return out
+from contextsim.linalg import fix_phase, hermitian_eigensystem, is_hermitian, is_unitary, projector_from_ray
+from contextsim.observables import Direction, spin1_operator
+from contextsim.states import rotation_operator_spin1
 
 
 def random_hermitian(rng, n):
@@ -44,54 +19,6 @@ def align_phase(reference, vector):
     k = int(np.argmax(np.abs(reference)))
     phase = reference[k] / vector[k]
     return vector * (phase / abs(phase))
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    a = np.diag([1.0, -1.0])
-    assert np.allclose(kron(a, a), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_matches_index_formula_on_context_operators():
-    a = ks_context(1, 2, 3).matrix
-    b = ks_context(4, 5, 6).matrix
-    assert np.max(np.abs(kron(a, b) - kron_oracle(a, b))) < 1e-14
-
-
-def test_kron_bilinear_and_mixed_product():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        lhs = kron(a + 2.0 * b, c)
-        rhs = kron(a, c) + 2.0 * kron(b, c)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-        mixed = kron(a, b) @ kron(c, d)
-        assert np.max(np.abs(mixed - kron(a @ c, b @ d))) < 1e-10
-
-
-def test_trace_identity_and_projector():
-    assert trace(np.eye(3)) == 3.0
-    p = projector_from_ray(np.array([1.0, 2.0, 2.0]))
-    assert abs(trace(p) - 1.0) < 1e-12
-
-
-def test_trace_of_spin_operator_vanishes():
-    # diagonal is cos(theta), 0, -cos(theta) for every direction
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        d = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert abs(trace(spin1_operator(d))) < 1e-12
-
-
-def test_trace_multiplicative_over_kron():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-10
 
 
 def test_eigensystem_diagonal_input():
@@ -149,43 +76,6 @@ def test_fix_phase_first_large_entry_real_positive():
     assert abs(fixed[1].imag) < 1e-15 and fixed[1].real > 0
 
 
-def test_spectral_projectors_fully_degenerate():
-    d = spectral_projectors(np.eye(3))
-    assert d.eigenvalues == (1.0,)
-    assert d.multiplicities == (3,)
-    assert np.allclose(d.projectors[0], np.eye(3))
-
-
-def test_spectral_projectors_of_tripod_context():
-    d = spectral_projectors(ks_context(1, 2, 3).matrix)
-    assert np.allclose(d.eigenvalues, [1.0, 2.0, 3.0])
-    assert d.multiplicities == (1, 1, 1)
-    rays = (
-        np.array([0.0, 1.0, 0.0]),
-        np.array([1.0, 0.0, 1.0]) / math.sqrt(2),
-        np.array([-1.0, 0.0, 1.0]) / math.sqrt(2),
-    )
-    for proj, ray in zip(d.projectors, rays):
-        assert np.max(np.abs(proj - np.outer(ray, ray.conj()))) < 1e-10
-
-
-def test_spectral_projectors_degenerate_grouping():
-    # squared axis-aligned spin operator: eigenvalue 0 once, 1 twice
-    j = spin1_operator(Direction(0.0, 0.0))
-    d = spectral_projectors(j @ j)
-    assert np.allclose(d.eigenvalues, [0.0, 1.0])
-    assert d.multiplicities == (1, 2)
-
-
-def test_spectral_projectors_sum_to_identity():
-    rng = np.random.default_rng(29)
-    for n in (3, 4, 9):
-        for _ in range(5):
-            d = spectral_projectors(random_hermitian(rng, n))
-            total = sum(d.projectors)
-            assert np.max(np.abs(total - np.eye(n))) <= 1e-9
-
-
 def test_projector_from_ray_examples():
     assert np.allclose(projector_from_ray([0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0]))
 
@@ -214,39 +104,10 @@ def test_projector_properties():
         p = projector_from_ray(v)
         assert is_hermitian(p)
         assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert abs(trace(p) - 1.0) < 1e-12
-
-
-def test_matrix_function_identity_reconstructs():
-    m = random_hermitian(np.random.default_rng(37), 4)
-    d = spectral_projectors(m)
-    assert np.max(np.abs(matrix_function_from_spectrum(d, lambda x: x) - m)) <= 1e-9
-
-
-def test_matrix_function_square_matches_product():
-    j = spin1_operator(Direction(1.1, 0.4))
-    d = spectral_projectors(j)
-    assert np.max(np.abs(matrix_function_from_spectrum(d, lambda x: x**2) - j @ j)) <= 1e-10
-
-
-def test_matrix_function_scalar_exponentials():
-    d = spectral_projectors(np.diag([1.0, 0.0, -1.0]))
-    u = matrix_function_from_spectrum(d, lambda x: np.exp(-1j * math.pi * x))
-    assert np.allclose(u, np.diag([-1.0, 1.0, -1.0]))
-
-
-def test_spectral_decomposition_validates_its_invariants():
-    with pytest.raises(ValueError):
-        SpectralDecomposition(
-            eigenvalues=(0.0, 1.0),
-            projectors=(np.eye(2), np.eye(2)),  # not orthogonal, wrong sum
-            multiplicities=(1, 1),
-        )
+        assert abs(np.trace(p) - 1.0) < 1e-12
 
 
 def test_unitarity_predicate():
-    j = spin1_operator(Direction(0.3, 2.2))
-    d = spectral_projectors(j)
-    u = matrix_function_from_spectrum(d, lambda x: np.exp(-1j * 0.7 * x))
+    u = rotation_operator_spin1(Direction(0.3, 2.2), 0.7)
     assert is_unitary(u)
     assert not is_unitary(2.0 * u)

@@ -142,3 +142,9 @@ def test_batch_loop_is_bounded_by_the_shots():
 def test_seed_outside_64_bits_is_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         sample(mixed_table(), 10, seed=seed, batches=2)
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_threshold_above_every_cell_is_rejected(n):
+    with pytest.raises(ValueError, match="support threshold"):
+        sample(mixed_table(), n, seed=1, support_threshold=0.5)

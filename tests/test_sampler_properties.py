@@ -3,8 +3,8 @@
 Tables come from random orthonormal bases in d = 3 and d = 4 (QR factors of
 complex Gaussian matrices) with real, negative and non-integer spectra. The
 references are deliberately naive: a per-row ``Counter`` for the tally, a
-``csv.writer`` row per shot for the CSV, and one ``_draw`` per batch for the
-batched stream.
+``csv.writer`` row per shot for the CSV, and one single-batch ``sample`` call
+per batch for the batched stream.
 """
 
 import collections
@@ -20,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextsim import sampler
-from contextsim.correlations import SUPPORT_THRESHOLD, joint_distribution
+from contextsim.correlations import joint_distribution
 from contextsim.errors import ShapeMismatchError
 from contextsim.observables import context_from_basis, ks_context, ks_context_prime
-from contextsim.sampler import _draw, derive_batch_seed, empirical_report, sample, write_shot_csv
+from contextsim.sampler import derive_batch_seed, empirical_report, sample, write_shot_csv
 from contextsim.states import singlet, spin1_singlet
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -61,15 +61,15 @@ def runs(draw):
 
 
 def reference_stream(table, n, seed, batches):
-    """One ``_draw`` per non-empty batch, as the per-shot sampler drew them."""
+    """One single-batch draw per non-empty batch, as the per-shot sampler drew them."""
     if batches == 1:
-        return _draw(table, n, seed, SUPPORT_THRESHOLD) if n else np.empty((0, 2), dtype=np.int64)
+        return sample(table, n, seed)
     base, remainder = n // batches, n % batches
     chunks = []
     for b in range(batches):
         size = base + (1 if b < remainder else 0)
         if size:
-            chunks.append(_draw(table, size, derive_batch_seed(seed, b), SUPPORT_THRESHOLD))
+            chunks.append(sample(table, size, derive_batch_seed(seed, b)))
     return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from contextsim.errors import DimensionMismatchError, UnsupportedDimensionError
 from contextsim.linalg import is_unitary
-from contextsim.observables import Direction
+from contextsim.observables import Direction, spin1_operator
 from contextsim.states import (
     BipartiteState,
     check_rotation_invariance,
@@ -103,6 +103,17 @@ def test_rotation_operator_is_unitary():
     for _ in range(20):
         d = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert is_unitary(rotation_operator_spin1(d, rng.uniform(-8.0, 8.0)))
+
+
+def test_rotation_operator_matches_eigh_exponential():
+    # independent oracle: exp(-i angle J) = V diag(exp(-i angle w)) V^dagger
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        d = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        angle = rng.uniform(-8.0, 8.0)
+        w, v = np.linalg.eigh(spin1_operator(d))
+        expected = (v * np.exp(-1j * angle * w)) @ v.conj().T
+        assert np.max(np.abs(rotation_operator_spin1(d, angle) - expected)) < 1e-12
 
 
 def test_singlet_invariant_under_sampled_rotations():
