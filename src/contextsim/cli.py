@@ -22,6 +22,7 @@ from .correlations import (
     JointTable,
     contextuality_criterion,
     expectation,
+    expectation_scale,
     joint_distribution,
     marginals,
     sequential_link_test,
@@ -73,7 +74,8 @@ def _round15(obj):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_round15(payload), indent=2) + "\n"
+    # allow_nan=False: a non-finite value is a ValueError (exit 1), never Infinity/NaN JSON.
+    text = json.dumps(_round15(payload), indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -168,13 +170,25 @@ def _table_payload(state, a, b, table: JointTable) -> dict:
     }
 
 
+def _expectation_tol(a: ContextOperator, b: ContextOperator, *values: float | None) -> float:
+    """CLOSED_FORM_TOL relative to the spectrum scale max(1, max|λ|·max|μ|).
+
+    Raises ValueError when that scale or one of the expectation ``values``
+    (None entries are skipped) overflowed to inf or nan.
+    """
+    scale = expectation_scale(a, b)
+    if not all(math.isfinite(x) for x in (scale, *values) if x is not None):
+        raise ValueError("eigenvalue products overflow double precision")
+    return CLOSED_FORM_TOL * scale
+
+
 def _check_table(state, a, b, table: JointTable) -> float:
     """Cross-check contraction and normalization; returns the expectation."""
     exact = expectation(density(state), a, b)
     lam = np.array([v for _, v in table.left_labels])
     mu = np.array([v for _, v in table.right_labels])
     contracted = float(lam @ table.probabilities @ mu)
-    if abs(contracted - exact) > CLOSED_FORM_TOL:
+    if abs(contracted - exact) > _expectation_tol(a, b, exact, contracted):
         raise ConsistencyFailure(
             f"table contraction {contracted} disagrees with expectation {exact}"
         )
@@ -196,7 +210,8 @@ def cmd_expectation(args) -> dict:
         "closed_form": closed,
         "abs_difference": None if closed is None else abs(value - closed),
     }
-    if closed is not None and abs(value - closed) > CLOSED_FORM_TOL:
+    tol = _expectation_tol(a, b, value, closed)
+    if closed is not None and abs(value - closed) > tol:
         raise ConsistencyFailure(
             f"numeric expectation {value} deviates from closed form {closed}"
         )
@@ -217,7 +232,7 @@ def cmd_joint(args) -> dict:
     state, a, b, closed = _build_pair(args)
     table = joint_distribution(state, a, b)
     exact = _check_table(state, a, b, table)
-    if closed is not None and abs(exact - closed) > CLOSED_FORM_TOL:
+    if closed is not None and abs(exact - closed) > _expectation_tol(a, b, closed):
         raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
     uniqueness = verify_uniqueness(table, tol=args.tol)
     criterion = contextuality_criterion(table, _forbidden_for(args))
@@ -286,6 +301,8 @@ def _contexts_for_states(args) -> list[ContextOperator]:
             contexts = []
             for k, basis in enumerate(data["contexts"]):
                 rays = _parse_basis(basis)
+                if len(rays) not in (3, 4):
+                    raise ValueError(f"custom contexts must have dimension 3 or 4, not {len(rays)}")
                 spectrum = tuple(float(x) for x in range(1, len(rays) + 1))
                 contexts.append(context_from_basis(rays, spectrum, label=f"custom-{k}"))
             if not contexts:
@@ -413,11 +430,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        payload = args.handler(args)
+        # numpy would only warn on overflow; here it is an input error with one stderr line.
+        with np.errstate(over="raise", invalid="raise"):
+            payload = args.handler(args)
         _emit(payload, args.out)
     except ConsistencyFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    except FloatingPointError as exc:
+        print(f"error: inputs overflow double precision ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ContextsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

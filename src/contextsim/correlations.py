@@ -109,17 +109,24 @@ class CriterionReport:
     contextual_mass: float
 
 
+def expectation_scale(a: ContextOperator, b: ContextOperator) -> float:
+    """max(1, max|λ|·max|μ|): the size of A x B, against which roundoff in
+    an expectation value is judged."""
+    return max(1.0, max(map(abs, a.spectrum)) * max(map(abs, b.spectrum)))
+
+
 def expectation(rho: DensityMatrix, a: ContextOperator, b: ContextOperator) -> float:
     """Tr{rho * (A x B)} as a real number.
 
     Raises NonNegligibleImaginaryPartError if the raw trace has an imaginary
-    part above 1e-10 (a non-Hermitian operand slipped through)."""
+    part above 1e-10 times :func:`expectation_scale` (a non-Hermitian
+    operand slipped through)."""
     if rho.dim != a.dim * b.dim:
         raise DimensionMismatchError(
             f"density matrix dimension {rho.dim} != {a.dim} * {b.dim}"
         )
     raw = complex(np.trace(rho.matrix @ np.kron(a.matrix, b.matrix)))
-    if abs(raw.imag) > IMAG_TOL:
+    if abs(raw.imag) > IMAG_TOL * expectation_scale(a, b):
         raise NonNegligibleImaginaryPartError(f"trace has imaginary part {raw.imag}")
     return raw.real
 

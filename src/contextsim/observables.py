@@ -116,7 +116,8 @@ class ContextOperator:
     one distinct real eigenvalue per basis ray.
 
     Construction verifies that ``matrix`` equals the spectral synthesis
-    sum(spectrum[k] * |basis[k]><basis[k]|) within ``SYNTHESIS_TOL``, so
+    sum(spectrum[k] * |basis[k]><basis[k]|) within ``SYNTHESIS_TOL`` times
+    max(1, max|spectrum|), so
     independently built matrices (e.g. from spin-operator combinations) are
     cross-checked against their declared eigensystem.
     """
@@ -136,7 +137,9 @@ class ContextOperator:
         gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
         if float(np.max(np.abs(gram - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
-        if float(np.max(np.abs(matrix - _synthesize(basis, spectrum)))) > SYNTHESIS_TOL:
+        # Relative to the spectrum scale; `not <=` also rejects a matrix that overflowed to nan.
+        defect = float(np.max(np.abs(matrix - _synthesize(basis, spectrum))))
+        if not defect <= SYNTHESIS_TOL * max(1.0, max(map(abs, spectrum))):
             raise ValueError("matrix does not match the declared eigenbasis and spectrum")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basis", basis)

@@ -17,9 +17,11 @@ from .correlations import SUPPORT_THRESHOLD, JointTable
 from .errors import ShapeMismatchError
 
 _MASK64 = (1 << 64) - 1
-_CSV_HEADER = "shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
-# Rows rendered per write: bounds the memory the CSV text holds; the bytes written do not depend on it.
-_CSV_CHUNK_ROWS = 1 << 16
+_CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
+# A CSV chunk holds 10^digits rows, so every shot number in chunk q is str(q)
+# followed by the same zero-padded low digits. The chunk size bounds the
+# memory of one rendering; the bytes written do not depend on it.
+_CSV_CHUNK_DIGITS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +96,14 @@ def sample(
 
 def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
     """Row-major table cell of each shot; rejects slots outside the table."""
-    n_left, n_right = table.shape
     slots = np.asarray(shots, dtype=np.int64)
     if slots.ndim != 2 or slots.shape[1] != 2:
         raise ShapeMismatchError(f"shots must form an (n, 2) slot array, not shape {slots.shape}")
-    left, right = slots[:, 0], slots[:, 1]
-    if ((left < 0) | (left >= n_left) | (right < 0) | (right >= n_right)).any():
-        raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table")
-    return left * n_right + right
+    try:
+        return np.ravel_multi_index(slots.T, table.shape)
+    except ValueError:
+        n_left, n_right = table.shape
+        raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table") from None
 
 
 def empirical_report(shots: np.ndarray, table: JointTable, seed: int | None = None) -> EmpiricalReport:
@@ -124,16 +126,40 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     """Export an (n, 2) shot stream with eigenvalue labels resolved from the table.
 
     Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue; CSV
-    row ``k`` is shot (array row) ``k``. Lines end in CRLF.
+    row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
+    written when a slot lies outside the table.
+
+    Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
+    with no Python object per shot. Each table cell's row tail ``,i,λ,j,μ``
+    plus CRLF is stored once, NUL-padded to a common width, and a
+    chunk is one uint8 matrix: the chunk number as a prefix, the shot's low
+    digits (their leading zeros NUL in chunk 0), then the tail of the shot's
+    cell. CSV text never contains NUL, so dropping every NUL byte of the
+    matrix leaves exactly the chunk's rows in order.
     """
     cells = _cells(shots, table)
     left_values, right_values = dict(table.left_labels), dict(table.right_labels)
     n_left, n_right = table.shape
-    suffix = [
-        f"{i},{left_values[i]:.15g},{j},{right_values[j]:.15g}\r\n" for i in range(n_left) for j in range(n_right)
+    suffixes = [
+        f",{i},{left_values[i]:.15g},{j},{right_values[j]:.15g}\r\n".encode()
+        for i in range(n_left)
+        for j in range(n_right)
     ]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    # numpy's bytes dtype NUL-pads every suffix to the longest one.
+    tails = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
+    width, step = _CSV_CHUNK_DIGITS, 10**_CSV_CHUNK_DIGITS
+    shot = np.arange(min(len(cells), step))[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    digits = (shot // powers % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where((shot >= powers) | (powers == 1), digits, 0).astype(np.uint8)
+    with open(path, "wb") as handle:
         handle.write(_CSV_HEADER)
-        for start in range(0, len(cells), _CSV_CHUNK_ROWS):
-            chunk = cells[start : start + _CSV_CHUNK_ROWS].tolist()
-            handle.write("".join([f"{k},{suffix[c]}" for k, c in enumerate(chunk, start)]))
+        for q, start in enumerate(range(0, len(cells), step)):
+            chunk = cells[start : start + step]
+            prefix = np.frombuffer(str(q).encode() if q else b"", dtype=np.uint8)
+            p = len(prefix)
+            rows = np.empty((len(chunk), p + width + tails.shape[1]), dtype=np.uint8)
+            rows[:, :p] = prefix
+            rows[:, p : p + width] = (digits if q else unpadded)[: len(chunk)]
+            rows[:, p + width :] = tails[chunk]
+            handle.write(rows[rows != 0].tobytes())

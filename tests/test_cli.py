@@ -365,3 +365,47 @@ def test_tol_above_every_cell_exits_with_one_line(tmp_path, capsys, command):
     assert code == 1
     assert err.strip().splitlines() == ["error: no table cell has probability above the support threshold 0.5"]
     assert not csv.exists()
+
+
+def test_large_spectra_pass_the_closed_form_check(capsys):
+    # Roundoff on an 8e6 expectation exceeds an absolute 1e-9; the check is relative to max|λ|·max|μ|.
+    code, data = run_cli(capsys, "joint", "--scenario", "ks-mixed", "--left=1e4,-1e4,0.5", "--right=0.25,1e4,-0.5e4")
+    assert code == 0
+    assert data["expectation"] == pytest.approx(data["closed_form"], rel=1e-12)
+
+
+def test_large_spectra_pass_the_synthesis_check(capsys):
+    code, data = run_cli(capsys, "expectation", "--scenario", "ks-collinear", "--left=1e6,2e6,3e6", "--right=1,2,3")
+    assert code == 0
+    assert data["expectation"] == pytest.approx(14e6 / 3, rel=1e-12)
+
+
+def test_large_spectra_on_a_complex_basis_pass_the_imaginary_part_check(tmp_path, capsys):
+    # Complex rays leave roundoff of ~1e-4 in the imaginary part of a 1e18-scale trace.
+    q, _ = np.linalg.qr(np.arange(9).reshape(3, 3) + 1j * np.eye(3) + 1.0)
+    rays = [[[float(z.real), float(z.imag)] for z in q[:, k]] for k in range(3)]
+    basis = write_basis_file(tmp_path / "b.json", {"left": rays, "right": rays})
+    code, data = run_cli(
+        capsys, "expectation", "--scenario", "custom", "--basis-file", basis, "--left=1e9,-1e9,0.5", "--right=0.25,1e9,-5e8"
+    )
+    assert code == 0
+    assert data["closed_form"] is None
+
+
+@pytest.mark.parametrize("command", ["expectation", "joint"])
+@pytest.mark.parametrize("magnitude", ["1e155", "1e200", "1.7e308"])
+def test_overflowing_spectrum_exits_with_one_line(capsys, command, magnitude):
+    # max|λ|·max|μ| overflows, so no Infinity or NaN may reach the JSON.
+    code = cli.main([command, "--scenario", "ks-mixed", f"--left={magnitude},2,3", f"--right=4,5,{magnitude}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_states_rejects_dimension_2_contexts(tmp_path, capsys):
+    basis = write_basis_file(tmp_path / "ctx.json", {"contexts": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+    code = cli.main(["states", "--scenario", "custom", "--basis-file", basis])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == ["error: custom contexts must have dimension 3 or 4, not 2"]

@@ -99,14 +99,24 @@ def test_counts_equal_a_per_row_counter(run):
 
 
 @SETTINGS
-@given(runs(), st.integers(1, 3001))
-def test_csv_bytes_equal_a_csv_writer_rendering(run, chunk_rows):
+@given(runs(), st.integers(1, 3))
+def test_csv_bytes_equal_a_csv_writer_rendering(run, chunk_digits):
+    # Chunks of 10, 100 or 1000 rows, so n <= 3000 crosses chunk boundaries.
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampler, "_CSV_CHUNK_ROWS", chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampler, "_CSV_CHUNK_DIGITS", chunk_digits):
         path = Path(tmp) / "shots.csv"
         write_shot_csv(shots, table, path)
         assert path.read_bytes() == reference_csv(shots, table)
+
+
+def test_csv_bytes_at_the_default_chunk_size(tmp_path):
+    # 200_001 rows reach chunks 1 and 2 and the 5- to 6-digit shot numbers.
+    table = joint_distribution(spin1_singlet(), ks_context(-1 / 3, 1e-7, 2.5e3), ks_context_prime(0.5, -2, 7))
+    shots = sample(table, 200_001, seed=5, batches=3)
+    path = tmp_path / "shots.csv"
+    write_shot_csv(shots, table, path)
+    assert path.read_bytes() == reference_csv(shots, table)
 
 
 @SETTINGS
@@ -140,3 +150,4 @@ def test_negative_right_slot_is_not_read_as_another_cell(tmp_path):
         empirical_report(np.array([[1, -1]]), table)
     with pytest.raises(ShapeMismatchError):
         write_shot_csv(np.array([[1, -1]]), table, tmp_path / "shots.csv")
+    assert not (tmp_path / "shots.csv").exists()
