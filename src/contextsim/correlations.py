@@ -125,7 +125,9 @@ def expectation(rho: DensityMatrix, a: ContextOperator, b: ContextOperator) -> f
         raise DimensionMismatchError(
             f"density matrix dimension {rho.dim} != {a.dim} * {b.dim}"
         )
-    raw = complex(np.trace(rho.matrix @ np.kron(a.matrix, b.matrix)))
+    # Tr{rho (A x B)} = sum over i, j, k, l of rho[ij, kl] A[k, i] B[l, j].
+    rho4 = rho.matrix.reshape(a.dim, b.dim, a.dim, b.dim)
+    raw = complex(np.einsum("ijkl,ki,lj->", rho4, a.matrix, b.matrix))
     if abs(raw.imag) > IMAG_TOL * expectation_scale(a, b):
         raise NonNegligibleImaginaryPartError(f"trace has imaginary part {raw.imag}")
     return raw.real
@@ -134,19 +136,20 @@ def expectation(rho: DensityMatrix, a: ContextOperator, b: ContextOperator) -> f
 def joint_distribution(
     state: BipartiteState, a: ContextOperator, b: ContextOperator
 ) -> JointTable:
-    """Born-rule joint table: P[i, j] = <state| (P_a,i x P_b,j) |state>."""
+    """Born-rule joint table: P[i, j] = <state| (P_a,i x P_b,j) |state>.
+
+    With unit rays u_i, v_j and the amplitudes reshaped to a d x d matrix
+    Psi, that is |<u_i x v_j|state>|^2 = |(conj(U) Psi conj(V)^T)[i, j]|^2."""
     if a.dim != state.local_dim or b.dim != state.local_dim:
         raise DimensionMismatchError(
             f"contexts of dimension {a.dim}, {b.dim} do not match local dimension {state.local_dim}"
         )
-    amp = state.amplitudes
-    left_projectors = a.projectors()
-    right_projectors = b.projectors()
-    p = np.empty((a.dim, b.dim), dtype=float)
-    for i, pa in enumerate(left_projectors):
-        for j, pb in enumerate(right_projectors):
-            value = np.vdot(amp, np.kron(pa, pb) @ amp)
-            p[i, j] = value.real
+    u = a.basis / np.linalg.norm(a.basis, axis=1, keepdims=True)
+    v = b.basis / np.linalg.norm(b.basis, axis=1, keepdims=True)
+    psi = state.amplitudes.reshape(a.dim, b.dim)
+    # einsum rounds each product on its own (a BLAS matmul may fuse them), so
+    # terms that cancel exactly, as in the forbidden cells, sum to an exact 0.
+    p = np.abs(np.einsum("ik,kl,jl->ij", u.conj(), psi, v.conj())) ** 2
     return JointTable(
         left_labels=tuple(enumerate(a.spectrum)),
         right_labels=tuple(enumerate(b.spectrum)),
@@ -200,15 +203,11 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
         raise ValueError("uniqueness is defined for square tables")
     support = table.support(tol)
 
-    best_mass = -1.0
-    best_perm: tuple[int, ...] = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        mass = float(sum(p[i, perm[i]] for i in range(n)))
-        if mass > best_mass:
-            best_mass = mass
-            best_perm = perm
-    pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
-    violation_mass = float(p.sum() - best_mass)
+    perms = np.array(list(itertools.permutations(range(n))))
+    masses = p[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmax(masses))
+    pairing = tuple((i, int(j)) for i, j in enumerate(perms[best]) if support[i, j])
+    violation_mass = float(p.sum() - masses[best])
 
     rows_single = bool(np.all(support.sum(axis=1) == 1))
     cols_single = bool(np.all(support.sum(axis=0) == 1))
@@ -259,11 +258,8 @@ def sequential_link_test(
         raise DimensionMismatchError(
             f"prepared ray has dimension {ray.shape[0]}, context has {measured.dim}"
         )
-    unit = ray / norm
-    return tuple(
-        (lam, float(abs(np.vdot(basis_ray, unit)) ** 2))
-        for lam, basis_ray in zip(measured.spectrum, measured.basis)
-    )
+    probabilities = np.abs(measured.basis.conj() @ (ray / norm)) ** 2
+    return tuple(zip(measured.spectrum, probabilities.tolist()))
 
 
 def marginals(table: JointTable) -> tuple[np.ndarray, np.ndarray]:

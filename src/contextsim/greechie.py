@@ -93,9 +93,10 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     """Build the orthogonality diagram of a list of contexts.
 
     One block per context; basis rays that coincide up to a complex phase
-    (within ``RAY_MATCH_TOL``) are merged into a single atom, which makes shared
-    (link) observables explicit. Atom ids follow first appearance, scanning
-    contexts in order and each basis in slot order.
+    (within ``RAY_MATCH_TOL``, the test of :func:`rays_match`) are merged
+    into a single atom, which makes shared (link) observables explicit. Atom
+    ids follow first appearance, scanning contexts in order and each basis
+    in slot order; a ray that matches several atoms joins the first.
     """
     if not contexts:
         raise ValueError("need at least one context")
@@ -103,18 +104,21 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     if any(c.dim != dim for c in contexts):
         raise DimensionMismatchError("all contexts must share one dimension")
     atoms: list[Atom] = []
+    units = np.empty((0, dim), dtype=complex)
     blocks: list[tuple[str, ...]] = []
     for context in contexts:
+        unit = context.basis / np.linalg.norm(context.basis, axis=1, keepdims=True)
+        # match[m, k]: ray k of this context spans the ray of atom m (row m of units).
+        match = 1.0 - np.abs(units.conj() @ unit.T) <= RAY_MATCH_TOL
         block: list[str] = []
-        for ray in context.basis:
-            for atom in atoms:
-                if atom.ray is not None and rays_match(atom.ray, ray):
-                    block.append(atom.id)
-                    break
+        for k, ray in enumerate(context.basis):
+            hits = np.flatnonzero(match[:, k])
+            if hits.size:
+                block.append(atoms[hits[0]].id)
             else:
-                atom = Atom(id=f"a{len(atoms)}", ray=ray)
-                atoms.append(atom)
-                block.append(atom.id)
+                atoms.append(Atom(id=f"a{len(atoms)}", ray=ray))
+                block.append(atoms[-1].id)
+        units = np.vstack([units, unit[~match.any(axis=0)]])
         blocks.append(tuple(block))
     return GreechieDiagram(atoms=tuple(atoms), blocks=tuple(blocks), dim=dim)
 

@@ -88,26 +88,21 @@ def spin1_eigensystem(d: Direction) -> tuple[tuple[float, np.ndarray], ...]:
 
 
 def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
-    """Validate that eigenvalues are pairwise distinct beyond ``MERGE_TOL``."""
+    """Validate that eigenvalues are pairwise distinct: no two lie within
+    ``MERGE_TOL`` times max(1, max|λ|) of each other."""
     spectrum = tuple(float(x) for x in values)
     if not all(math.isfinite(x) for x in spectrum):
         raise ValueError("eigenvalues must be finite")
-    for i in range(len(spectrum)):
-        for j in range(i + 1, len(spectrum)):
-            if abs(spectrum[i] - spectrum[j]) <= MERGE_TOL:
-                raise DegenerateSpectrumError(
-                    f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {MERGE_TOL}"
-                )
+    scale = max(1.0, max(map(abs, spectrum), default=0.0))
+    # Gaps between eigenvalues divided by the scale: relative, and they cannot overflow.
+    v = np.array(spectrum) / scale
+    close = np.abs(np.subtract.outer(v, v)) <= MERGE_TOL
+    if np.count_nonzero(close) > len(spectrum):  # more than the diagonal
+        i, j = np.argwhere(np.triu(close, 1))[0]
+        raise DegenerateSpectrumError(
+            f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {MERGE_TOL * scale}"
+        )
     return spectrum
-
-
-def _synthesize(basis: Sequence[np.ndarray], spectrum: Sequence[float]) -> np.ndarray:
-    """The spectral synthesis sum(spectrum[k] * |basis[k]><basis[k]|)."""
-    dim = basis[0].shape[0]
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for lam, ray in zip(spectrum, basis):
-        matrix += lam * projector_from_ray(ray)
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +110,9 @@ class ContextOperator:
     """A maximal observable: Hermitian matrix, orthonormal outcome basis,
     one distinct real eigenvalue per basis ray.
 
-    Construction verifies that ``matrix`` equals the spectral synthesis
+    ``basis`` is one complex (d, d) array whose rows are the outcome rays,
+    so ``basis[k]`` is the ray of slot k. Construction verifies that
+    ``matrix`` equals the spectral synthesis
     sum(spectrum[k] * |basis[k]><basis[k]|) within ``SYNTHESIS_TOL`` times
     max(1, max|spectrum|), so
     independently built matrices (e.g. from spin-operator combinations) are
@@ -123,22 +120,21 @@ class ContextOperator:
     """
 
     matrix: np.ndarray
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     spectrum: tuple[float, ...]
     label: str = ""
 
     def __post_init__(self):
         matrix = as_matrix(self.matrix)
-        basis = tuple(as_vector(v) for v in self.basis)
+        basis = as_matrix(self.basis)
         spectrum = check_distinct_spectrum(self.spectrum)
         dim = matrix.shape[0]
-        if len(basis) != dim or len(spectrum) != dim:
+        if basis.shape[0] != dim or len(spectrum) != dim:
             raise ValueError("need one basis ray and one eigenvalue per dimension")
-        gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-        if float(np.max(np.abs(gram - np.eye(dim)))) > BASIS_TOL:
+        if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
         # Relative to the spectrum scale; `not <=` also rejects a matrix that overflowed to nan.
-        defect = float(np.max(np.abs(matrix - _synthesize(basis, spectrum))))
+        defect = float(np.max(np.abs(matrix - (basis.T * spectrum) @ basis.conj())))
         if not defect <= SYNTHESIS_TOL * max(1.0, max(map(abs, spectrum))):
             raise ValueError("matrix does not match the declared eigenbasis and spectrum")
         object.__setattr__(self, "matrix", matrix)
@@ -171,11 +167,7 @@ def ks_context(alpha: float, beta: float, gamma: float, label: str = "C_KS") -> 
         + (b + g - a) * _j_squared(0.0, 0.0)
     )
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    basis = (
-        np.array([0.0, 1.0, 0.0], dtype=complex),
-        np.array([inv_sqrt2, 0.0, inv_sqrt2], dtype=complex),
-        np.array([-inv_sqrt2, 0.0, inv_sqrt2], dtype=complex),
-    )
+    basis = np.array([[0.0, 1.0, 0.0], [inv_sqrt2, 0.0, inv_sqrt2], [-inv_sqrt2, 0.0, inv_sqrt2]], dtype=complex)
     return ContextOperator(matrix=matrix, basis=basis, spectrum=spectrum, label=label)
 
 
@@ -191,11 +183,7 @@ def ks_context_prime(alpha: float, beta: float, gamma: float, label: str = "C_KS
         + (b + g - a) * _j_squared(0.0, 0.0)
     )
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    basis = (
-        np.array([0.0, 1.0, 0.0], dtype=complex),
-        np.array([-1j * inv_sqrt2, 0.0, inv_sqrt2], dtype=complex),
-        np.array([1j * inv_sqrt2, 0.0, inv_sqrt2], dtype=complex),
-    )
+    basis = np.array([[0.0, 1.0, 0.0], [-1j * inv_sqrt2, 0.0, inv_sqrt2], [1j * inv_sqrt2, 0.0, inv_sqrt2]])
     return ContextOperator(matrix=matrix, basis=basis, spectrum=spectrum, label=label)
 
 
@@ -217,8 +205,8 @@ def four_dim_contexts(
     a, b, g, d = spectrum
 
     c_matrix = np.diag(np.array(spectrum, dtype=complex))
-    e = [np.eye(4, dtype=complex)[k] for k in range(4)]
-    c = ContextOperator(matrix=c_matrix, basis=tuple(e), spectrum=spectrum, label="C")
+    e = np.eye(4, dtype=complex)
+    c = ContextOperator(matrix=c_matrix, basis=e, spectrum=spectrum, label="C")
 
     cp_matrix = np.zeros((4, 4), dtype=complex)
     cp_matrix[0, 0] = cp_matrix[1, 1] = (a + b) / 2.0
@@ -226,12 +214,7 @@ def four_dim_contexts(
     cp_matrix[2, 2] = g
     cp_matrix[3, 3] = d
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    cp_basis = (
-        np.array([inv_sqrt2, inv_sqrt2, 0.0, 0.0], dtype=complex),
-        np.array([-inv_sqrt2, inv_sqrt2, 0.0, 0.0], dtype=complex),
-        e[2],
-        e[3],
-    )
+    cp_basis = np.array([[inv_sqrt2, inv_sqrt2, 0.0, 0.0], [-inv_sqrt2, inv_sqrt2, 0.0, 0.0], e[2], e[3]])
     c_prime = ContextOperator(matrix=cp_matrix, basis=cp_basis, spectrum=spectrum, label="C'")
     return FourDimContexts(C=c, C_prime=c_prime)
 
@@ -254,4 +237,5 @@ def context_from_basis(
     dim = rays[0].shape[0]
     if any(r.shape[0] != dim for r in rays) or len(rays) != dim:
         raise NonOrthonormalBasisError("basis must consist of dim vectors of length dim")
-    return ContextOperator(matrix=_synthesize(rays, values), basis=rays, spectrum=values, label=label)
+    r = np.array(rays)
+    return ContextOperator(matrix=(r.T * values) @ r.conj(), basis=r, spectrum=values, label=label)

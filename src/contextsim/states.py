@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedDimensionError
-from .linalg import as_matrix, as_vector, hermitian_eigensystem, is_hermitian, is_unitary
+from .errors import DimensionMismatchError, NoConvergenceError, UnsupportedDimensionError
+from .linalg import as_matrix, as_vector, is_hermitian, is_unitary
 from .observables import Direction, spin1_operator
 
 NORM_TOL = 1e-12
@@ -53,9 +53,12 @@ class DensityMatrix:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(matrix).real - 1.0) > DENSITY_TOL:
             raise ValueError("density matrix must have unit trace")
-        eigenvalues, _ = hermitian_eigensystem(matrix)
-        if float(eigenvalues[0]) < -DENSITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigenvalues[0]}")
+        try:
+            lowest = float(np.linalg.eigvalsh(matrix)[0])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"eigensolver did not converge: {exc}") from None
+        if lowest < -DENSITY_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest}")
         object.__setattr__(self, "matrix", matrix)
 
     @property

@@ -409,3 +409,22 @@ def test_states_rejects_dimension_2_contexts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.strip().splitlines() == ["error: custom contexts must have dimension 3 or 4, not 2"]
+
+
+def test_near_degenerate_large_spectrum_exits_with_one_line(capsys):
+    # 1e9 and 1e9 + 2.4e-7 print as the same 15-digit label; "distinct" is relative to max|λ|.
+    code = cli.main(["joint", "--scenario", "ks-mixed", "--left=1000000000,1000000000.0000002,3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: eigenvalues 1000000000.0 and 1000000000.0000002 coincide within 10.000000000000002"
+    ]
+
+
+def test_opposite_extreme_eigenvalues_are_distinct(tmp_path, capsys):
+    # Their difference overflows double precision; the distinct check must not.
+    basis = write_basis_file(tmp_path / "b.json", {"left": BASIS_3, "right": BASIS_3})
+    code, data = run_cli(capsys, "sequential", "--scenario", "custom", "--basis-file", basis, "--left=1.7e308,-1.7e308,3")
+    assert code == 0
+    assert data["distribution"][0]["probability"] == 1.0

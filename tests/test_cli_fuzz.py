@@ -41,17 +41,22 @@ FORBIDDEN = st.one_of(
 )
 # Weight for well-formed draws, so the success paths run about as often as the errors.
 WELL_FORMED = ("ok",) * 4
+# A relative gap that stays below the CLI's merge tolerance of 1e-8 * max(1, max|λ|).
+NEAR_GAP = st.floats(min_value=0.0, max_value=0.9e-8)
 
 
 @st.composite
 def spectra(draw, d):
-    """d comma-joined eigenvalues, or another length, a repeat or a non-number."""
+    """d comma-joined eigenvalues, or another length, a repeat, a near repeat or a non-number."""
     values = draw(st.lists(EIGENVALUE, min_size=d, max_size=d, unique_by=float))
-    mode = draw(st.sampled_from(WELL_FORMED + ("length", "repeat", "non-number")))
+    mode = draw(st.sampled_from(WELL_FORMED + ("length", "repeat", "near-repeat", "non-number")))
     if mode == "length":
         values = draw(st.lists(EIGENVALUE, min_size=0, max_size=6))
     elif mode == "repeat":
         values[-1] = values[0]
+    elif mode == "near-repeat":
+        x = float(values[0])
+        values[-1] = repr(x + abs(x) * draw(NEAR_GAP))
     elif mode == "non-number":
         values[draw(st.integers(0, d - 1))] = draw(NOT_A_FINITE_NUMBER)
     return ",".join(values)
@@ -111,7 +116,7 @@ def invocations(draw):
     basis-file payload (None for no file, "missing" for an absent one)."""
     command = draw(st.sampled_from(COMMANDS))
     scenario = draw(st.sampled_from([*SCENARIOS, "custom"]))
-    d = SCENARIOS[scenario].dim if scenario in SCENARIOS else draw(st.sampled_from((2, 3, 4)))
+    d = SCENARIOS[scenario].dim if scenario in SCENARIOS else draw(st.sampled_from((2, 3, 4, 5)))
     argv = [command, "--scenario", scenario]
     for flag, values in (("--left", spectra(d)), ("--right", spectra(d)), ("--tol", TOL)):
         if draw(st.booleans()):
@@ -147,3 +152,47 @@ def test_cli_exits_0_1_or_3_with_one_error_line(invocation):
         assert err == ""
     else:
         assert len(err.splitlines()) == 1, err
+
+
+@st.composite
+def near_degenerate_spectra(draw, d):
+    """d eigenvalues at scale up to 1e9 of which two lie within 1e-8 * max|λ|."""
+    x = draw(st.floats(min_value=1.0, max_value=1e9)) * draw(st.sampled_from((1.0, -1.0)))
+    values = [x, x + abs(x) * draw(NEAR_GAP)]
+    values += draw(st.lists(st.floats(min_value=-abs(x), max_value=abs(x)), min_size=d - 2, max_size=d - 2))
+    return ",".join(map(repr, draw(st.permutations(values))))
+
+
+# states builds named contexts at their default spectra and ignores --left/--right.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([c for c in COMMANDS if c != "states"]), st.sampled_from(sorted(SCENARIOS)), st.data())
+def test_near_degenerate_spectra_exit_1_at_any_scale(command, scenario, data):
+    spectrum = data.draw(near_degenerate_spectra(SCENARIOS[scenario].dim))
+    side = data.draw(st.sampled_from(("--left", "--right")))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = ["--csv", f"{tmp}/shots.csv"] if command == "sample" else []
+        code, err = run([command, "--scenario", scenario, f"{side}={spectrum}", *csv])
+    assert code == 1, err
+    assert err.startswith("error: eigenvalues ") and len(err.splitlines()) == 1, err
+
+
+@st.composite
+def contexts_files(draw):
+    """(d, payload): one to three well-formed QR bases of one dimension d in {2, 3, 4, 5}."""
+    d = draw(st.sampled_from((2, 3, 4, 5)))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    return d, {"contexts": [qr_basis(seed, d) for seed in seeds]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(contexts_files())
+def test_well_formed_contexts_run_only_in_dimension_3_or_4(drawn):
+    d, payload = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "contexts.json"
+        path.write_text(json.dumps(payload))
+        code, err = run(["states", "--scenario", "custom", "--basis-file", str(path)])
+    if d in (3, 4):
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"error: custom contexts must have dimension 3 or 4, not {d}\n")

@@ -4,17 +4,20 @@ Context pairs come from random orthonormal bases in d = 3 and d = 4 (QR
 factors of complex Gaussian matrices) on the matching singlet, with random
 distinct spectra. The right basis mixes the first ``k`` rays of the left
 basis by a random unitary and keeps the rest, so pairs that share d - k
-(link) rays are drawn as well as pairs that share none.
+(link) rays are drawn as well as pairs that share none. The oracle tests
+also give every ray a random phase and scale its norm by 1 +- 1e-9, which the
+basis check accepts and the predictions must undo.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextsim.correlations import expectation, joint_distribution, marginals
+from contextsim.correlations import expectation, expectation_scale, joint_distribution, marginals
 from contextsim.greechie import diagram_from_contexts
 from contextsim.observables import context_from_basis
-from contextsim.states import density, singlet
+from contextsim.states import DensityMatrix, density, singlet
 
 SETTINGS = settings(max_examples=60, deadline=None)
 EIGENVALUE = st.one_of(
@@ -48,6 +51,17 @@ def pairs(draw):
 
 def contexts(left, right, left_spectrum, right_spectrum):
     return context_from_basis(left, left_spectrum), context_from_basis(right, right_spectrum)
+
+
+def rescaled(rays, rng):
+    """Each ray times a random phase and a norm factor within 1 +- 1e-9."""
+    return [ray * np.exp(2j * np.pi * rng.uniform()) * (1.0 + rng.uniform(-1e-9, 1e-9)) for ray in rays]
+
+
+def kronecker_table(state, a, b):
+    """Oracle: P[i, j] = <state| P_a,i x P_b,j |state> with one Kronecker product per cell."""
+    amp = state.amplitudes
+    return np.array([[np.vdot(amp, np.kron(pa, pb) @ amp).real for pb in b.projectors()] for pa in a.projectors()])
 
 
 @SETTINGS
@@ -99,3 +113,37 @@ def test_swapping_the_sides_transposes_the_table(pair):
     forward = joint_distribution(state, a, b).probabilities
     swapped = joint_distribution(state, b, a).probabilities
     assert np.max(np.abs(swapped - forward.T)) <= 1e-12
+
+
+@SETTINGS
+@given(pairs())
+def test_joint_table_equals_the_kronecker_projector_oracle(pair):
+    d, left, right, lam, mu, rng = pair
+    state = singlet(d)
+    a, b = contexts(rescaled(left, rng), rescaled(right, rng), lam, mu)
+    table = joint_distribution(state, a, b).probabilities
+    assert np.max(np.abs(table - kronecker_table(state, a, b))) <= 1e-14
+
+
+@SETTINGS
+@given(pairs(), st.integers(1, 16))
+def test_expectation_on_a_mixed_state_equals_the_kronecker_trace(pair, rank):
+    d, left, right, lam, mu, rng = pair
+    a, b = contexts(rescaled(left, rng), rescaled(right, rng), lam, mu)
+    w = rng.standard_normal((d * d, min(rank, d * d))) + 1j * rng.standard_normal((d * d, min(rank, d * d)))
+    rho = w @ w.conj().T
+    rho /= np.trace(rho).real
+    oracle = np.trace(rho @ np.kron(a.matrix, b.matrix)).real
+    assert abs(expectation(DensityMatrix(rho), a, b) - oracle) <= 1e-12 * expectation_scale(a, b)
+
+
+@pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
+def test_density_matrix_tolerates_only_roundoff_below_zero(lowest, accepted):
+    q = unitary(np.random.default_rng(11), 9)
+    spectrum = np.array([lowest, *[(1.0 - lowest) / 8] * 8])
+    matrix = (q * spectrum) @ q.conj().T
+    if accepted:
+        assert DensityMatrix(matrix).dim == 9
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(matrix)

@@ -23,7 +23,7 @@ from contextsim.greechie import (
     save_diagram,
     two_valued_states,
 )
-from contextsim.observables import four_dim_contexts, ks_context, ks_context_prime
+from contextsim.observables import context_from_basis, four_dim_contexts, ks_context, ks_context_prime
 
 
 def brute_force_states(diagram):
@@ -35,6 +35,65 @@ def brute_force_states(diagram):
         if all(sum(assignment[a] for a in block) == 1 for block in diagram.blocks):
             found.append(assignment)
     return found
+
+
+def first_match_oracle(contexts):
+    """Oracle: atoms and blocks from a pairwise rays_match scan in which each
+    ray joins the first atom it matches."""
+    atoms, blocks = [], []
+    for context in contexts:
+        block = []
+        for ray in context.basis:
+            atom = next((atom for atom in atoms if rays_match(atom.ray, ray)), None)
+            if atom is None:
+                atom = Atom(id=f"a{len(atoms)}", ray=ray)
+                atoms.append(atom)
+            block.append(atom.id)
+        blocks.append(tuple(block))
+    return atoms, blocks
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+# Tilts come in steps of 0.9e-4 rad: rays one step apart match within
+# RAY_MATCH_TOL (1 - cos = 4.1e-9), rays two or more steps apart do not
+# (1 - cos >= 1.6e-8), so a ray between two atoms matches both.
+TILT_STEP = 0.9e-4
+
+
+@st.composite
+def tilted_contexts(draw):
+    """Two to four contexts on one random basis. Each tilts the plane of its
+    last two rays by a multiple of TILT_STEP, then mixes its first k rays by
+    a random unitary, so up to the tilt it keeps between 0 and d rays of the
+    base; every ray gets a random phase and a norm within 1 +- 1e-9."""
+    d = draw(st.sampled_from((3, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_unitary(rng, d)
+    contexts = []
+    for _ in range(draw(st.integers(2, 4))):
+        t = TILT_STEP * draw(st.integers(0, 3))
+        rays = base.copy()
+        rays[:, -2:] = rays[:, -2:] @ np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        k = draw(st.integers(0, d))
+        if k > 1:
+            rays[:, :k] = rays[:, :k] @ random_unitary(rng, k)
+        scale = np.exp(2j * math.pi * rng.uniform(size=d)) * (1.0 + rng.uniform(-1e-9, 1e-9, size=d))
+        contexts.append(context_from_basis(list(rays.T * scale[:, None]), range(1, d + 1)))
+    return contexts
+
+
+@settings(max_examples=150, deadline=None)
+@given(tilted_contexts())
+def test_diagram_equals_the_pairwise_first_match_oracle(contexts):
+    diagram = diagram_from_contexts(contexts)
+    atoms, blocks = first_match_oracle(contexts)
+    assert diagram.blocks == tuple(blocks)
+    assert [a.id for a in diagram.atoms] == [a.id for a in atoms]
+    assert all(np.array_equal(a.ray, b.ray) for a, b in zip(diagram.atoms, atoms))
 
 
 def tripod_diagram():
@@ -80,8 +139,6 @@ def test_ray_merging_is_phase_robust():
     rng = np.random.default_rng(53)
     contexts = [ks_context(1, 2, 3), ks_context_prime(4, 5, 6)]
     reference = diagram_from_contexts(contexts)
-    from contextsim.observables import context_from_basis
-
     for _ in range(5):
         rephased = []
         for context in contexts:

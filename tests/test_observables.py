@@ -217,6 +217,15 @@ def test_degenerate_spectra_are_rejected():
         context_from_basis(np.eye(3, dtype=complex), (0.0, 0.0, 1.0))
 
 
+def test_distinct_is_relative_to_the_spectrum_scale():
+    # 1e-8 * max(1, max|λ|): a gap of 1 at 1e9 is a repeat, a gap of 64 is not.
+    with pytest.raises(DegenerateSpectrumError):
+        ks_context(1e9, 1e9 + 1.0, 3.0)
+    assert ks_context(1e9, 1e9 + 64.0, 3.0).spectrum == (1e9, 1e9 + 64.0, 3.0)
+    with pytest.raises(DegenerateSpectrumError):
+        context_from_basis(np.eye(3, dtype=complex), (0.5, 0.5 + 5e-9, 0.25))
+
+
 def test_context_outcome_projectors_resolve_identity():
     for context in (ks_context(1, 2, 3), ks_context_prime(4, 5, 6), four_dim_contexts(1, 2, 3, 4).C_prime):
         total = sum(context.projectors())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contextsim.errors import DimensionMismatchError, UnsupportedDimensionError
+from contextsim.errors import DimensionMismatchError, NoConvergenceError, UnsupportedDimensionError
 from contextsim.linalg import is_unitary
 from contextsim.observables import Direction, spin1_operator
 from contextsim.states import (
@@ -163,3 +163,12 @@ def test_rotation_invariance_rejects_wrong_dimension():
 def test_invariance_defect_rejects_mismatched_unitary():
     with pytest.raises(DimensionMismatchError):
         unitary_invariance_defect(spin1_singlet(), np.eye(4))
+
+
+def test_density_matrix_reports_no_convergence(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError):
+        density(spin1_singlet())
