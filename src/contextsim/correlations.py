@@ -144,12 +144,10 @@ def joint_distribution(
         raise DimensionMismatchError(
             f"contexts of dimension {a.dim}, {b.dim} do not match local dimension {state.local_dim}"
         )
-    u = a.basis / np.linalg.norm(a.basis, axis=1, keepdims=True)
-    v = b.basis / np.linalg.norm(b.basis, axis=1, keepdims=True)
     psi = state.amplitudes.reshape(a.dim, b.dim)
     # einsum rounds each product on its own (a BLAS matmul may fuse them), so
     # terms that cancel exactly, as in the forbidden cells, sum to an exact 0.
-    p = np.abs(np.einsum("ik,kl,jl->ij", u.conj(), psi, v.conj())) ** 2
+    p = np.abs(np.einsum("ik,kl,jl->ij", a.units.conj(), psi, b.units.conj())) ** 2
     return JointTable(
         left_labels=tuple(enumerate(a.spectrum)),
         right_labels=tuple(enumerate(b.spectrum)),
@@ -203,11 +201,15 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
         raise ValueError("uniqueness is defined for square tables")
     support = table.support(tol)
 
-    perms = np.array(list(itertools.permutations(range(n))))
-    masses = p[np.arange(n), perms].sum(axis=1)
-    best = int(np.argmax(masses))
-    pairing = tuple((i, int(j)) for i, j in enumerate(perms[best]) if support[i, j])
-    violation_mass = float(p.sum() - masses[best])
+    best_mass = -1.0
+    best_perm: tuple[int, ...] = tuple(range(n))
+    for perm in itertools.permutations(range(n)):
+        mass = float(sum(p[i, perm[i]] for i in range(n)))
+        if mass > best_mass:
+            best_mass = mass
+            best_perm = perm
+    pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
+    violation_mass = float(p.sum() - best_mass)
 
     rows_single = bool(np.all(support.sum(axis=1) == 1))
     cols_single = bool(np.all(support.sum(axis=0) == 1))
@@ -258,7 +260,7 @@ def sequential_link_test(
         raise DimensionMismatchError(
             f"prepared ray has dimension {ray.shape[0]}, context has {measured.dim}"
         )
-    probabilities = np.abs(measured.basis.conj() @ (ray / norm)) ** 2
+    probabilities = np.abs(measured.units.conj() @ (ray / norm)) ** 2
     return tuple(zip(measured.spectrum, probabilities.tolist()))
 
 

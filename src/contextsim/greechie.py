@@ -104,12 +104,11 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     if any(c.dim != dim for c in contexts):
         raise DimensionMismatchError("all contexts must share one dimension")
     atoms: list[Atom] = []
-    units = np.empty((0, dim), dtype=complex)
+    atom_units = np.empty((0, dim), dtype=complex)
     blocks: list[tuple[str, ...]] = []
     for context in contexts:
-        unit = context.basis / np.linalg.norm(context.basis, axis=1, keepdims=True)
-        # match[m, k]: ray k of this context spans the ray of atom m (row m of units).
-        match = 1.0 - np.abs(units.conj() @ unit.T) <= RAY_MATCH_TOL
+        # match[m, k]: ray k of this context spans the ray of atom m.
+        match = 1.0 - np.abs(atom_units.conj() @ context.units.T) <= RAY_MATCH_TOL
         block: list[str] = []
         for k, ray in enumerate(context.basis):
             hits = np.flatnonzero(match[:, k])
@@ -118,7 +117,7 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
             else:
                 atoms.append(Atom(id=f"a{len(atoms)}", ray=ray))
                 block.append(atoms[-1].id)
-        units = np.vstack([units, unit[~match.any(axis=0)]])
+        atom_units = np.vstack([atom_units, context.units[~match.any(axis=0)]])
         blocks.append(tuple(block))
     return GreechieDiagram(atoms=tuple(atoms), blocks=tuple(blocks), dim=dim)
 

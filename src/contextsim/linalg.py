@@ -56,6 +56,14 @@ def projector_from_ray(v) -> np.ndarray:
     return np.outer(unit, unit.conj())
 
 
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of ``m`` divided by their norms, as :func:`projector_from_ray` does."""
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    if not np.all(norms > 0.0):
+        raise ZeroVectorError("cannot project onto the zero vector")
+    return m / norms
+
+
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rescale by a unit phase so the first entry with modulus above
     ``PHASE_CUTOFF`` becomes real and positive. Returns the input unchanged

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonOrthonormalBasisError
-from .linalg import as_matrix, as_vector, projector_from_ray
+from .linalg import as_matrix, as_vector, projector_from_ray, unit_rows
 
 TWO_PI = 2.0 * math.pi
 SYNTHESIS_TOL = 1e-10
@@ -93,15 +93,14 @@ def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
     spectrum = tuple(float(x) for x in values)
     if not all(math.isfinite(x) for x in spectrum):
         raise ValueError("eigenvalues must be finite")
-    scale = max(1.0, max(map(abs, spectrum), default=0.0))
-    # Gaps between eigenvalues divided by the scale: relative, and they cannot overflow.
-    v = np.array(spectrum) / scale
-    close = np.abs(np.subtract.outer(v, v)) <= MERGE_TOL
-    if np.count_nonzero(close) > len(spectrum):  # more than the diagonal
-        i, j = np.argwhere(np.triu(close, 1))[0]
-        raise DegenerateSpectrumError(
-            f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {MERGE_TOL * scale}"
-        )
+    # A float difference that overflows is inf, which counts as distinct.
+    tol = MERGE_TOL * max(1.0, max(map(abs, spectrum), default=0.0))
+    for i in range(len(spectrum)):
+        for j in range(i + 1, len(spectrum)):
+            if abs(spectrum[i] - spectrum[j]) <= tol:
+                raise DegenerateSpectrumError(
+                    f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {tol}"
+                )
     return spectrum
 
 
@@ -111,10 +110,10 @@ class ContextOperator:
     one distinct real eigenvalue per basis ray.
 
     ``basis`` is one complex (d, d) array whose rows are the outcome rays,
-    so ``basis[k]`` is the ray of slot k. Construction verifies that
-    ``matrix`` equals the spectral synthesis
-    sum(spectrum[k] * |basis[k]><basis[k]|) within ``SYNTHESIS_TOL`` times
-    max(1, max|spectrum|), so
+    so ``basis[k]`` is the ray of slot k; ``units`` holds the same rows
+    divided by their norms. Construction verifies that ``matrix`` equals the
+    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|) within
+    ``SYNTHESIS_TOL`` times max(1, max|spectrum|), so
     independently built matrices (e.g. from spin-operator combinations) are
     cross-checked against their declared eigensystem.
     """
@@ -123,6 +122,7 @@ class ContextOperator:
     basis: np.ndarray
     spectrum: tuple[float, ...]
     label: str = ""
+    units: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = as_matrix(self.matrix)
@@ -133,13 +133,15 @@ class ContextOperator:
             raise ValueError("need one basis ray and one eigenvalue per dimension")
         if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
+        units = unit_rows(basis)
         # Relative to the spectrum scale; `not <=` also rejects a matrix that overflowed to nan.
-        defect = float(np.max(np.abs(matrix - (basis.T * spectrum) @ basis.conj())))
+        defect = float(np.max(np.abs(matrix - (units.T * spectrum) @ units.conj())))
         if not defect <= SYNTHESIS_TOL * max(1.0, max(map(abs, spectrum))):
             raise ValueError("matrix does not match the declared eigenbasis and spectrum")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "units", units)
 
     @property
     def dim(self) -> int:
@@ -238,4 +240,5 @@ def context_from_basis(
     if any(r.shape[0] != dim for r in rays) or len(rays) != dim:
         raise NonOrthonormalBasisError("basis must consist of dim vectors of length dim")
     r = np.array(rays)
-    return ContextOperator(matrix=(r.T * values) @ r.conj(), basis=r, spectrum=values, label=label)
+    units = unit_rows(r)
+    return ContextOperator(matrix=(units.T * values) @ units.conj(), basis=r, spectrum=values, label=label)

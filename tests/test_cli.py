@@ -428,3 +428,19 @@ def test_opposite_extreme_eigenvalues_are_distinct(tmp_path, capsys):
     code, data = run_cli(capsys, "sequential", "--scenario", "custom", "--basis-file", basis, "--left=1.7e308,-1.7e308,3")
     assert code == 0
     assert data["distribution"][0]["probability"] == 1.0
+
+
+def test_rays_written_to_eight_digits_give_the_exact_basis_prediction(tmp_path, capsys):
+    # 0.70710678 for 1/sqrt2 leaves |r|^2 = 1 - 3.4e-9, which the basis check accepts;
+    # the rays still span the exact directions, so the prediction must not move.
+    def tripod(s):
+        return [[[s, 0], [0, 0], [s, 0]], RAY_010, [[-s, 0], [0, 0], [s, 0]]]
+
+    results = []
+    for name, s in (("short", 0.70710678), ("exact", float(np.sqrt(0.5)))):
+        basis = write_basis_file(tmp_path / f"{name}.json", {"left": tripod(s), "right": BASIS_3})
+        argv = ["joint", "--scenario", "custom", "--basis-file", basis, "--left=100,-50,7", "--right=4,5,6"]
+        code, data = run_cli(capsys, *argv, "--forbidden=0,0")
+        assert code == 0
+        results.append(data["expectation"])
+    assert results[0] == pytest.approx(results[1], rel=1e-14)

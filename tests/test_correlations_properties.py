@@ -14,8 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextsim.correlations import expectation, expectation_scale, joint_distribution, marginals
+from contextsim.correlations import (
+    expectation,
+    expectation_scale,
+    joint_distribution,
+    marginals,
+    sequential_link_test,
+)
 from contextsim.greechie import diagram_from_contexts
+from contextsim.linalg import projector_from_ray
 from contextsim.observables import context_from_basis
 from contextsim.states import DensityMatrix, density, singlet
 
@@ -129,12 +136,29 @@ def test_joint_table_equals_the_kronecker_projector_oracle(pair):
 @given(pairs(), st.integers(1, 16))
 def test_expectation_on_a_mixed_state_equals_the_kronecker_trace(pair, rank):
     d, left, right, lam, mu, rng = pair
-    a, b = contexts(rescaled(left, rng), rescaled(right, rng), lam, mu)
+    left, right = rescaled(left, rng), rescaled(right, rng)
+    a, b = contexts(left, right, lam, mu)
     w = rng.standard_normal((d * d, min(rank, d * d))) + 1j * rng.standard_normal((d * d, min(rank, d * d)))
     rho = w @ w.conj().T
     rho /= np.trace(rho).real
-    oracle = np.trace(rho @ np.kron(a.matrix, b.matrix)).real
+    # A and B from the rays, not from a.matrix, so a synthesis that skips the normalization shows.
+    a_matrix = sum(x * projector_from_ray(ray) for x, ray in zip(lam, left))
+    b_matrix = sum(x * projector_from_ray(ray) for x, ray in zip(mu, right))
+    oracle = np.trace(rho @ np.kron(a_matrix, b_matrix)).real
     assert abs(expectation(DensityMatrix(rho), a, b) - oracle) <= 1e-12 * expectation_scale(a, b)
+
+
+@SETTINGS
+@given(pairs())
+def test_sequential_distribution_equals_the_projector_oracle(pair):
+    d, left, right, lam, mu, rng = pair
+    a, _ = contexts(rescaled(left, rng), right, lam, mu)
+    prepared = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    unit = prepared / np.linalg.norm(prepared)
+    oracle = [np.vdot(unit, projector_from_ray(ray) @ unit).real for ray in a.basis]
+    distribution = sequential_link_test(prepared, a)
+    assert [x for x, _ in distribution] == list(a.spectrum)
+    assert np.max(np.abs(np.array([p for _, p in distribution]) - oracle)) <= 1e-14
 
 
 @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from contextsim.errors import DegenerateSpectrumError, NonOrthonormalBasisError
+from contextsim.errors import DegenerateSpectrumError, NonOrthonormalBasisError, ZeroVectorError
 from contextsim.linalg import hermitian_eigensystem, is_hermitian, projector_from_ray
 from contextsim.observables import (
+    ContextOperator,
     Direction,
     context_from_basis,
     four_dim_contexts,
@@ -224,6 +225,21 @@ def test_distinct_is_relative_to_the_spectrum_scale():
     assert ks_context(1e9, 1e9 + 64.0, 3.0).spectrum == (1e9, 1e9 + 64.0, 3.0)
     with pytest.raises(DegenerateSpectrumError):
         context_from_basis(np.eye(3, dtype=complex), (0.5, 0.5 + 5e-9, 0.25))
+
+
+def test_rays_off_unit_norm_keep_the_declared_spectrum():
+    # The basis check accepts norms 1 +- 1e-8; the synthesis must divide them out.
+    rays = np.array([[INV_SQRT2, 0, INV_SQRT2], [0, 1, 0], [-INV_SQRT2, 0, INV_SQRT2]])
+    rays *= np.array([[1 + 5e-9], [1 - 5e-9], [1 + 3e-9]])
+    spectrum = (1.0, 2.0, 3.0)
+    exact = sum(x * projector_from_ray(ray) for x, ray in zip(spectrum, rays))
+    assert np.max(np.abs(context_from_basis(rays, spectrum).matrix - exact)) <= 1e-15
+    assert ContextOperator(matrix=exact, basis=rays, spectrum=spectrum).dim == 3
+
+
+def test_context_from_basis_rejects_a_zero_ray():
+    with pytest.raises(ZeroVectorError):
+        context_from_basis([np.zeros(3), np.eye(3)[1], np.eye(3)[2]], (1.0, 2.0, 3.0))
 
 
 def test_context_outcome_projectors_resolve_identity():
