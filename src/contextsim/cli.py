@@ -443,6 +443,10 @@ def main(argv=None) -> int:
     except (ContextsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy names the failed allocation; a bare MemoryError names nothing.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

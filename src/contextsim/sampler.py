@@ -47,14 +47,26 @@ def derive_batch_seed(seed: int, batch: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step of each uniform in ``u`` over the nondecreasing ``cdf``.
+
+    Counts the thresholds ``cdf[:-1]`` at or below each ``u``, in the
+    smallest unsigned dtype that holds ``len(cdf) - 1``. For a nondecreasing
+    ``cdf`` that is ``clip(searchsorted(cdf, u, side="right"), 0, k - 1)``,
+    computed with one comparison pass per threshold instead of a binary
+    search per uniform.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
+
+
 def _draw(cells: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:
     """n inverse-CDF draws over the kept ``cells`` (a (k, 2) slot array with
     cumulative probabilities ``cdf``); returns an (n, 2) array of slots."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, len(cells) - 1, out=idx)
-    return cells[idx]
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return np.take(cells, _cdf_index(cdf, u), axis=0)
 
 
 def sample(
@@ -130,12 +142,14 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     written when a slot lies outside the table.
 
     Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
-    with no Python object per shot. Each table cell's row tail ``,i,λ,j,μ``
-    plus CRLF is stored once, NUL-padded to a common width, and a
-    chunk is one uint8 matrix: the chunk number as a prefix, the shot's low
-    digits (their leading zeros NUL in chunk 0), then the tail of the shot's
-    cell. CSV text never contains NUL, so dropping every NUL byte of the
-    matrix leaves exactly the chunk's rows in order.
+    with no Python object per shot. A chunk is one uint8 matrix of
+    fixed-width byte records: the chunk number as a prefix, the shot's
+    zero-padded low digits (their leading zeros NUL in chunk 0), then the
+    row tail ``,i,λ,j,μ`` plus CRLF of the shot's cell. Each tail is stored
+    once, NUL-padded to a common width, and the digits and tails are copied
+    in as whole ``V`` (raw bytes) elements. CSV text never contains NUL, so
+    dropping every NUL byte of the matrix leaves exactly the chunk's rows in
+    order.
     """
     cells = _cells(shots, table)
     left_values, right_values = dict(table.left_labels), dict(table.right_labels)
@@ -146,20 +160,25 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
         for j in range(n_right)
     ]
     # numpy's bytes dtype NUL-pads every suffix to the longest one.
-    tails = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
+    tails = np.array(suffixes)
+    tails = tails.view(f"V{tails.itemsize}")
     width, step = _CSV_CHUNK_DIGITS, 10**_CSV_CHUNK_DIGITS
-    shot = np.arange(min(len(cells), step))[:, None]
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    digits = (shot // powers % 10 + ord("0")).astype(np.uint8)
-    unpadded = np.where((shot >= powers) | (powers == 1), digits, 0).astype(np.uint8)
+    # Record s holds the digits of s, zero-padded to the width: digit j of a
+    # row-major index into a (10,) * width grid is its index along axis j.
+    digits = np.stack(np.indices((10,) * width, dtype=np.uint8), axis=-1) + ord("0")
+    digits = digits.reshape(step, width).view(f"V{width}")[:, 0]
     with open(path, "wb") as handle:
         handle.write(_CSV_HEADER)
         for q, start in enumerate(range(0, len(cells), step)):
             chunk = cells[start : start + step]
             prefix = np.frombuffer(str(q).encode() if q else b"", dtype=np.uint8)
             p = len(prefix)
-            rows = np.empty((len(chunk), p + width + tails.shape[1]), dtype=np.uint8)
+            rows = np.empty((len(chunk), p + width + tails.itemsize), dtype=np.uint8)
             rows[:, :p] = prefix
-            rows[:, p : p + width] = (digits if q else unpadded)[: len(chunk)]
-            rows[:, p + width :] = tails[chunk]
+            rows[:, p : p + width].view(digits.dtype)[:, 0] = digits[: len(chunk)]
+            rows[:, p + width :].view(tails.dtype)[:, 0] = np.take(tails, chunk)
+            if not q:
+                # Shot s < 10^(width - 1 - j) has a leading zero at digit j.
+                for j in range(width - 1):
+                    rows[: 10 ** (width - 1 - j), j] = 0
             handle.write(rows[rows != 0].tobytes())

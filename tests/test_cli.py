@@ -353,6 +353,20 @@ def test_sample_without_csv_or_out_writes_nothing(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):
+    # 2^50 uniforms take 8 PiB, more than any 64-bit address space holds, so
+    # the allocation fails at once whatever the overcommit setting.
+    csv = tmp_path / "shots.csv"
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", str(2**50), "--csv", str(csv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("command", ["joint", "sample"])
 def test_tol_above_every_cell_exits_with_one_line(tmp_path, capsys, command):
     # ks-mixed cells are at most 1/3, so --tol 0.5 leaves no support

@@ -3,8 +3,9 @@
 Tables come from random orthonormal bases in d = 3 and d = 4 (QR factors of
 complex Gaussian matrices) with real, negative and non-integer spectra. The
 references are deliberately naive: a per-row ``Counter`` for the tally, a
-``csv.writer`` row per shot for the CSV, and one single-batch ``sample`` call
-per batch for the batched stream.
+``csv.writer`` row per shot for the CSV, one single-batch ``sample`` call
+per batch for the batched stream, and a clipped binary search
+(``np.searchsorted``) for the inverse-CDF index of the draw.
 """
 
 import collections
@@ -141,6 +142,47 @@ def test_out_of_range_slots_are_rejected(run, data):
     shots[row, side] = bad
     with pytest.raises(ShapeMismatchError):
         empirical_report(shots, table)
+
+
+# Cell weights from tiny (a 5e-324 cell after a sum of order 1 adds a
+# zero-width CDF step) to large, so ties and subnormals both occur.
+WEIGHT = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-12),
+    st.floats(min_value=1e-12, max_value=1e3),
+    st.sampled_from((5e-324, 1e-300, 0.25, 1.0)),
+)
+
+
+@st.composite
+def cdfs(draw):
+    """The CDF of 1-16 kept cells, its last entry a few ulps below, at or above 1.
+
+    Entries above the last one are lowered to it, so the CDF stays
+    nondecreasing as a cumulative sum always is.
+    """
+    weights = np.array(draw(st.lists(WEIGHT, min_size=1, max_size=16)))
+    cdf = np.cumsum(weights / weights.sum())
+    end = 1.0
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        end = np.nextafter(end, np.sign(ulps) * np.inf)
+    cdf[-1] = end
+    return np.minimum(cdf, end)
+
+
+@SETTINGS
+@given(cdfs(), st.data())
+def test_threshold_count_equals_a_clipped_searchsorted(cdf, data):
+    # Uniforms on every CDF entry and on its neighbouring doubles, the ends
+    # of [0, 1), and random draws.
+    on_steps = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    edges = np.array([0.0, np.nextafter(1.0, 0.0)])
+    drawn = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50)))
+    u = np.concatenate([on_steps, edges, drawn])
+    idx = sampler._cdf_index(cdf, u)
+    assert idx.dtype == np.uint8
+    expected = np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
+    assert np.array_equal(idx, expected)
 
 
 def test_negative_right_slot_is_not_read_as_another_cell(tmp_path):
