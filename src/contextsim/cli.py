@@ -182,8 +182,9 @@ def _expectation_tol(a: ContextOperator, b: ContextOperator, *values: float | No
     return CLOSED_FORM_TOL * scale
 
 
-def _check_table(state, a, b, table: JointTable) -> float:
-    """Cross-check contraction and normalization; returns the expectation."""
+def _check_table(state, a, b, table: JointTable, closed: float | None) -> float:
+    """Cross-check contraction, normalization and, when there is one, the
+    closed form; returns the expectation."""
     exact = expectation(density(state), a, b)
     lam = np.array([v for _, v in table.left_labels])
     mu = np.array([v for _, v in table.right_labels])
@@ -195,6 +196,8 @@ def _check_table(state, a, b, table: JointTable) -> float:
     total = float(table.probabilities.sum())
     if abs(total - 1.0) > CLOSED_FORM_TOL:
         raise ConsistencyFailure(f"table probabilities sum to {total}")
+    if closed is not None and abs(exact - closed) > _expectation_tol(a, b, closed):
+        raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
     return exact
 
 
@@ -231,9 +234,7 @@ def _forbidden_for(args) -> tuple[tuple[int, int], ...]:
 def cmd_joint(args) -> dict:
     state, a, b, closed = _build_pair(args)
     table = joint_distribution(state, a, b)
-    exact = _check_table(state, a, b, table)
-    if closed is not None and abs(exact - closed) > _expectation_tol(a, b, closed):
-        raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
+    exact = _check_table(state, a, b, table, closed)
     uniqueness = verify_uniqueness(table, tol=args.tol)
     criterion = contextuality_criterion(table, _forbidden_for(args))
     payload = {
@@ -267,7 +268,7 @@ def cmd_joint(args) -> dict:
 def cmd_sample(args) -> dict:
     state, a, b, closed = _build_pair(args)
     table = joint_distribution(state, a, b)
-    _check_table(state, a, b, table)
+    _check_table(state, a, b, table, closed)
     shots = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
     report = empirical_report(shots, table, seed=args.seed)
     if args.scenario != "custom":

@@ -160,31 +160,22 @@ def joint_distribution(
 
 def _support_components(support: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Connected components of the bipartite support graph, as sorted
-    (left slots, right slots) pairs ordered by smallest left slot."""
-    n, m = support.shape
-    seen_left: set[int] = set()
+    (left slots, right slots) pairs ordered by smallest left slot.
+
+    Two left slots are adjacent when they share a populated right slot, which
+    is the boolean product ``support @ support.T``; squaring it until it stops
+    changing gives reachability, and ``reach @ support`` the right slots each
+    left slot reaches."""
+    reach = support @ support.T
+    while not np.array_equal(closure := reach @ reach, reach):
+        reach = closure
     components = []
-    for start in range(n):
-        if start in seen_left or not support[start].any():
-            continue
-        left: set[int] = set()
-        right: set[int] = set()
-        frontier = [("L", start)]
-        while frontier:
-            side, k = frontier.pop()
-            if side == "L":
-                if k in left:
-                    continue
-                left.add(k)
-                frontier.extend(("R", j) for j in range(m) if support[k, j])
-            else:
-                if k in right:
-                    continue
-                right.add(k)
-                frontier.extend(("L", i) for i in range(n) if support[i, k])
-        seen_left |= left
-        components.append((tuple(sorted(left)), tuple(sorted(right))))
-    components.sort(key=lambda c: c[0][0])
+    # reach[i, i] holds when row i is nonempty; it opens a component unless it reaches an earlier row.
+    for i, (row, cols) in enumerate(zip(reach.tolist(), (reach @ support).tolist())):
+        if row[i] and not any(row[:i]):
+            left = tuple(k for k, hit in enumerate(row) if hit)
+            right = tuple(j for j, hit in enumerate(cols) if hit)
+            components.append((left, right))
     return components
 
 

@@ -20,7 +20,6 @@ from .errors import DegenerateSpectrumError, NonOrthonormalBasisError
 from .linalg import as_matrix, as_vector, projector_from_ray, unit_rows
 
 TWO_PI = 2.0 * math.pi
-SYNTHESIS_TOL = 1e-10
 MERGE_TOL = 1e-8
 BASIS_TOL = 1e-8
 
@@ -106,87 +105,61 @@ def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ContextOperator:
-    """A maximal observable: Hermitian matrix, orthonormal outcome basis,
-    one distinct real eigenvalue per basis ray.
+    """A maximal observable: orthonormal outcome basis, one distinct real
+    eigenvalue per basis ray, and the Hermitian matrix they define.
 
     ``basis`` is one complex (d, d) array whose rows are the outcome rays,
     so ``basis[k]`` is the ray of slot k; ``units`` holds the same rows
-    divided by their norms. Construction verifies that ``matrix`` equals the
-    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|) within
-    ``SYNTHESIS_TOL`` times max(1, max|spectrum|), so
-    independently built matrices (e.g. from spin-operator combinations) are
-    cross-checked against their declared eigensystem.
+    divided by their norms. The basis fixes the context and the spectrum
+    only labels its outcomes, so ``matrix`` is not an input: it is the
+    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|).
     """
 
-    matrix: np.ndarray
     basis: np.ndarray
     spectrum: tuple[float, ...]
     label: str = ""
     units: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = as_matrix(self.matrix)
-        basis = as_matrix(self.basis)
         spectrum = check_distinct_spectrum(self.spectrum)
-        dim = matrix.shape[0]
-        if basis.shape[0] != dim or len(spectrum) != dim:
+        basis = as_matrix(self.basis)
+        dim = basis.shape[0]
+        if len(spectrum) != dim:
             raise ValueError("need one basis ray and one eigenvalue per dimension")
+        units = unit_rows(basis)
         if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
-        units = unit_rows(basis)
-        # Relative to the spectrum scale; `not <=` also rejects a matrix that overflowed to nan.
-        defect = float(np.max(np.abs(matrix - (units.T * spectrum) @ units.conj())))
-        if not defect <= SYNTHESIS_TOL * max(1.0, max(map(abs, spectrum))):
-            raise ValueError("matrix does not match the declared eigenbasis and spectrum")
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "units", units)
+        object.__setattr__(self, "matrix", (units.T * spectrum) @ units.conj())
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
 
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Rank-1 outcome projectors, one per basis ray."""
         return tuple(projector_from_ray(v) for v in self.basis)
 
 
-def _j_squared(theta: float, phi: float) -> np.ndarray:
-    j = spin1_operator(Direction(theta, phi))
-    return j @ j
-
-
 def ks_context(alpha: float, beta: float, gamma: float, label: str = "C_KS") -> ContextOperator:
-    """First tripod context: combination of squared spin components along
-    the x, y and z axes, with outcome rays (0,1,0), (1,0,1)/sqrt2 and
-    (-1,0,1)/sqrt2 carrying alpha, beta, gamma."""
-    spectrum = check_distinct_spectrum((alpha, beta, gamma))
-    a, b, g = spectrum
-    matrix = 0.5 * (
-        (a + b - g) * _j_squared(math.pi / 2, 0.0)
-        + (a - b + g) * _j_squared(math.pi / 2, math.pi / 2)
-        + (b + g - a) * _j_squared(0.0, 0.0)
-    )
+    """First tripod context: outcome rays (0,1,0), (1,0,1)/sqrt2 and
+    (-1,0,1)/sqrt2 carrying alpha, beta, gamma. Its matrix is the paper's
+    combination of squared spin components along x, y and z."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     basis = np.array([[0.0, 1.0, 0.0], [inv_sqrt2, 0.0, inv_sqrt2], [-inv_sqrt2, 0.0, inv_sqrt2]], dtype=complex)
-    return ContextOperator(matrix=matrix, basis=basis, spectrum=spectrum, label=label)
+    return ContextOperator(basis, (alpha, beta, gamma), label)
 
 
 def ks_context_prime(alpha: float, beta: float, gamma: float, label: str = "C_KS'") -> ContextOperator:
-    """Second tripod context: same construction rotated by 45 degrees about
-    z, sharing the ray (0,1,0) with :func:`ks_context`; the other outcome
-    rays are (-i,0,1)/sqrt2 and (i,0,1)/sqrt2."""
-    spectrum = check_distinct_spectrum((alpha, beta, gamma))
-    a, b, g = spectrum
-    matrix = 0.5 * (
-        (a + b - g) * _j_squared(math.pi / 2, math.pi / 4)
-        + (a - b + g) * _j_squared(math.pi / 2, 3 * math.pi / 4)
-        + (b + g - a) * _j_squared(0.0, 0.0)
-    )
+    """Second tripod context: :func:`ks_context` rotated by 45 degrees about
+    z, sharing the ray (0,1,0) with it; the other outcome rays are
+    (-i,0,1)/sqrt2 and (i,0,1)/sqrt2."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     basis = np.array([[0.0, 1.0, 0.0], [-1j * inv_sqrt2, 0.0, inv_sqrt2], [1j * inv_sqrt2, 0.0, inv_sqrt2]])
-    return ContextOperator(matrix=matrix, basis=basis, spectrum=spectrum, label=label)
+    return ContextOperator(basis, (alpha, beta, gamma), label)
 
 
 class FourDimContexts(NamedTuple):
@@ -203,22 +176,16 @@ def four_dim_contexts(
     coordinates, with outcome rays (1,1,0,0)/sqrt2 and (-1,1,0,0)/sqrt2
     carrying the first two eigenvalues, and keeps e3, e4 unchanged.
     """
-    spectrum = check_distinct_spectrum((alpha, beta, gamma, delta))
-    a, b, g, d = spectrum
-
-    c_matrix = np.diag(np.array(spectrum, dtype=complex))
-    e = np.eye(4, dtype=complex)
-    c = ContextOperator(matrix=c_matrix, basis=e, spectrum=spectrum, label="C")
-
-    cp_matrix = np.zeros((4, 4), dtype=complex)
-    cp_matrix[0, 0] = cp_matrix[1, 1] = (a + b) / 2.0
-    cp_matrix[0, 1] = cp_matrix[1, 0] = (a - b) / 2.0
-    cp_matrix[2, 2] = g
-    cp_matrix[3, 3] = d
+    spectrum = (alpha, beta, gamma, delta)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    cp_basis = np.array([[inv_sqrt2, inv_sqrt2, 0.0, 0.0], [-inv_sqrt2, inv_sqrt2, 0.0, 0.0], e[2], e[3]])
-    c_prime = ContextOperator(matrix=cp_matrix, basis=cp_basis, spectrum=spectrum, label="C'")
-    return FourDimContexts(C=c, C_prime=c_prime)
+    cp_basis = np.array(
+        [[inv_sqrt2, inv_sqrt2, 0.0, 0.0], [-inv_sqrt2, inv_sqrt2, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        dtype=complex,
+    )
+    return FourDimContexts(
+        C=ContextOperator(np.eye(4, dtype=complex), spectrum, "C"),
+        C_prime=ContextOperator(cp_basis, spectrum, "C'"),
+    )
 
 
 def context_from_basis(
@@ -228,17 +195,12 @@ def context_from_basis(
 ) -> ContextOperator:
     """Context operator from an arbitrary orthonormal basis and spectrum.
 
-    The matrix is the spectral synthesis over the basis rays. Raises
-    NonOrthonormalBasisError / DegenerateSpectrumError on invalid input;
-    orthonormality is checked by :class:`ContextOperator`.
+    Coerces the rays into one (d, d) array; :class:`ContextOperator` checks
+    the spectrum and orthonormality and raises NonOrthonormalBasisError /
+    DegenerateSpectrumError on invalid input.
     """
     rays = tuple(as_vector(v) for v in basis)
-    values = check_distinct_spectrum(spectrum)
-    if len(rays) == 0 or len(rays) != len(values):
-        raise ValueError("need one eigenvalue per basis ray")
-    dim = rays[0].shape[0]
-    if any(r.shape[0] != dim for r in rays) or len(rays) != dim:
+    dim = len(rays)
+    if dim == 0 or any(r.shape[0] != dim for r in rays):
         raise NonOrthonormalBasisError("basis must consist of dim vectors of length dim")
-    r = np.array(rays)
-    units = unit_rows(r)
-    return ContextOperator(matrix=(units.T * values) @ units.conj(), basis=r, spectrum=values, label=label)
+    return ContextOperator(np.array(rays), spectrum, label)

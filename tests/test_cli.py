@@ -268,6 +268,29 @@ def test_internal_consistency_failure_exits_with_code_two(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["joint", "sample"])
+def test_table_commands_check_the_closed_form(tmp_path, capsys, monkeypatch, command):
+    import dataclasses
+
+    from contextsim import scenarios
+
+    broken = dataclasses.replace(
+        scenarios.SCENARIOS["ks-mixed"], _closed_form=lambda l, r: 0.0
+    )
+    monkeypatch.setitem(scenarios.SCENARIOS, "ks-mixed", broken)
+    csv = tmp_path / "shots.csv"
+    argv = [command, "--scenario", "ks-mixed"]
+    if command == "sample":
+        argv += ["--shots", "10", "--csv", str(csv)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert line.startswith("error: numeric expectation") and line.endswith("deviates from closed form 0.0")
+    assert not csv.exists()
+
+
 def test_module_entry_point_round_trip(tmp_path):
     result = subprocess.run(
         [

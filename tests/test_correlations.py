@@ -8,6 +8,7 @@ import pytest
 
 from contextsim.correlations import (
     JointTable,
+    _support_components,
     contextuality_criterion,
     expectation,
     joint_distribution,
@@ -234,6 +235,44 @@ def test_block_pattern_of_collinear_dim4_rotated():
     assert report.status == "block-structured"
     assert report.blocks == (((0, 1), (2, 3)), ((2, 3), (0, 1)))
     assert abs(report.violation_mass - 0.5) < 1e-12
+
+
+def breadth_first_components(support):
+    """Oracle: connected components of the bipartite support graph by a
+    breadth-first search from each unvisited nonempty row."""
+    n, m = support.shape
+    seen_left: set[int] = set()
+    components = []
+    for start in range(n):
+        if start in seen_left or not support[start].any():
+            continue
+        left: set[int] = set()
+        right: set[int] = set()
+        frontier = [("L", start)]
+        while frontier:
+            side, k = frontier.pop()
+            if side == "L":
+                if k in left:
+                    continue
+                left.add(k)
+                frontier.extend(("R", j) for j in range(m) if support[k, j])
+            else:
+                if k in right:
+                    continue
+                right.add(k)
+                frontier.extend(("L", i) for i in range(n) if support[i, k])
+        seen_left |= left
+        components.append((tuple(sorted(left)), tuple(sorted(right))))
+    components.sort(key=lambda c: c[0][0])
+    return components
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_support_components_match_a_breadth_first_search_on_every_pattern(dim):
+    cells = dim * dim
+    bits = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
+    for pattern in bits.astype(bool).reshape(-1, dim, dim):
+        assert _support_components(pattern) == breadth_first_components(pattern)
 
 
 def test_uniform_table_is_not_unique():

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextsim.errors import DegenerateSpectrumError, NonOrthonormalBasisError, ZeroVectorError
 from contextsim.linalg import hermitian_eigensystem, is_hermitian, projector_from_ray
 from contextsim.observables import (
     ContextOperator,
     Direction,
+    check_distinct_spectrum,
     context_from_basis,
     four_dim_contexts,
     ks_context,
@@ -19,6 +22,42 @@ from contextsim.observables import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Each tripod builder with its outcome rays and the azimuth of its x axis.
+TRIPODS = (
+    (ks_context, [[0.0, 1.0, 0.0], [INV_SQRT2, 0.0, INV_SQRT2], [-INV_SQRT2, 0.0, INV_SQRT2]], 0.0),
+    (ks_context_prime, [[0.0, 1.0, 0.0], [-1j * INV_SQRT2, 0.0, INV_SQRT2], [1j * INV_SQRT2, 0.0, INV_SQRT2]], math.pi / 4),
+)
+
+
+def _is_distinct(spectrum):
+    try:
+        check_distinct_spectrum(spectrum)
+    except DegenerateSpectrumError:
+        return False
+    return True
+
+
+SPECTRA_3 = st.tuples(*[st.floats(min_value=-1e9, max_value=1e9)] * 3).filter(_is_distinct)
+
+
+def spin_squared_combination(spectrum, x_phi):
+    """The paper's tripod observable (1/2)[(a+b-g) Jx^2 + (a-b+g) Jy^2 + (b+g-a) Jz^2]
+    with x along azimuth ``x_phi``, y a quarter turn further, z the pole."""
+
+    def j_squared(theta, phi):
+        j = spin1_operator(Direction(theta, phi))
+        return j @ j
+
+    a, b, g = spectrum
+    return 0.5 * (
+        (a + b - g) * j_squared(math.pi / 2, x_phi)
+        + (a - b + g) * j_squared(math.pi / 2, x_phi + math.pi / 2)
+        + (b + g - a) * j_squared(0.0, 0.0)
+    )
+
+
+def synthesis_bound(spectrum):
+    return 1e-10 * max(1.0, max(map(abs, spectrum)))
 
 
 def random_directions(seed, count):
@@ -125,22 +164,30 @@ def test_ks_contexts_share_the_link_ray_on_the_same_slot():
     assert c.spectrum[0] == 1.0 and cp.spectrum[0] == 4.0
 
 
-def test_ks_context_two_construction_paths_agree():
-    # spin-operator combination vs spectral synthesis over the known rays
-    rng = np.random.default_rng(33)
-    rays = (
-        np.array([0.0, 1.0, 0.0], dtype=complex),
-        np.array([INV_SQRT2, 0.0, INV_SQRT2], dtype=complex),
-        np.array([-INV_SQRT2, 0.0, INV_SQRT2], dtype=complex),
+@settings(max_examples=60, deadline=None)
+@given(SPECTRA_3)
+def test_ks_context_two_construction_paths_agree(spectrum):
+    # The matrix synthesized from the declared rays is the spin-squared combination.
+    for build, _, x_phi in TRIPODS:
+        matrix = build(*spectrum).matrix
+        oracle = spin_squared_combination(spectrum, x_phi)
+        assert np.max(np.abs(matrix - oracle)) <= synthesis_bound(spectrum)
+
+
+def test_editing_a_returned_basis_leaves_the_next_context_unchanged():
+    builds = (
+        lambda: ks_context(1, 2, 3),
+        lambda: ks_context_prime(1, 2, 3),
+        lambda: four_dim_contexts(1, 2, 3, 4).C,
+        lambda: four_dim_contexts(1, 2, 3, 4).C_prime,
     )
-    for _ in range(10):
-        a, b, g = rng.uniform(-4.0, 4.0, size=3)
-        if min(abs(a - b), abs(b - g), abs(a - g)) < 1e-6:
-            continue
-        synthesized = sum(
-            lam * projector_from_ray(ray) for lam, ray in zip((a, b, g), rays)
-        )
-        assert np.max(np.abs(ks_context(a, b, g).matrix - synthesized)) < 1e-10
+    for build in builds:
+        first = build()
+        basis, matrix = first.basis.copy(), first.matrix.copy()
+        first.basis[:] = 0.0
+        second = build()
+        assert np.array_equal(second.basis, basis)
+        assert np.array_equal(second.matrix, matrix)
 
 
 def test_ks_context_prime_eigenbasis():
@@ -188,15 +235,13 @@ def test_context_from_basis_standard():
     assert np.allclose(c.matrix, np.diag([1.0, 2.0, 3.0]))
 
 
-def test_context_from_basis_matches_spin_operator_construction():
-    rays = (
-        np.array([0.0, 1.0, 0.0], dtype=complex),
-        np.array([INV_SQRT2, 0.0, INV_SQRT2], dtype=complex),
-        np.array([-INV_SQRT2, 0.0, INV_SQRT2], dtype=complex),
-    )
-    spectrum = (0.5, -1.5, 2.25)
-    c = context_from_basis(rays, spectrum)
-    assert np.max(np.abs(c.matrix - ks_context(*spectrum).matrix)) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(SPECTRA_3)
+def test_context_from_basis_matches_spin_operator_construction(spectrum):
+    for _, rays, x_phi in TRIPODS:
+        c = context_from_basis(rays, spectrum)
+        oracle = spin_squared_combination(spectrum, x_phi)
+        assert np.max(np.abs(c.matrix - oracle)) <= synthesis_bound(spectrum)
 
 
 def test_context_from_basis_rejects_non_orthonormal_input():
@@ -234,7 +279,7 @@ def test_rays_off_unit_norm_keep_the_declared_spectrum():
     spectrum = (1.0, 2.0, 3.0)
     exact = sum(x * projector_from_ray(ray) for x, ray in zip(spectrum, rays))
     assert np.max(np.abs(context_from_basis(rays, spectrum).matrix - exact)) <= 1e-15
-    assert ContextOperator(matrix=exact, basis=rays, spectrum=spectrum).dim == 3
+    assert np.max(np.abs(ContextOperator(rays, spectrum).matrix - exact)) <= 1e-15
 
 
 def test_context_from_basis_rejects_a_zero_ray():
