@@ -112,7 +112,9 @@ class ContextOperator:
     so ``basis[k]`` is the ray of slot k; ``units`` holds the same rows
     divided by their norms. The basis fixes the context and the spectrum
     only labels its outcomes, so ``matrix`` is not an input: it is the
-    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|).
+    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|). The three
+    arrays are read-only, so no in-place edit can make them disagree; the
+    caller's basis is copied, not frozen.
     """
 
     basis: np.ndarray
@@ -123,17 +125,21 @@ class ContextOperator:
 
     def __post_init__(self):
         spectrum = check_distinct_spectrum(self.spectrum)
-        basis = as_matrix(self.basis)
+        # A private copy: as_matrix returns complex input as it is.
+        basis = as_matrix(self.basis).copy()
         dim = basis.shape[0]
         if len(spectrum) != dim:
             raise ValueError("need one basis ray and one eigenvalue per dimension")
         units = unit_rows(basis)
         if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
+        matrix = (units.T * spectrum) @ units.conj()
+        for array in (basis, units, matrix):
+            array.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "units", units)
-        object.__setattr__(self, "matrix", (units.T * spectrum) @ units.conj())
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:

@@ -9,6 +9,8 @@ outright: outcomes with exact probability zero can never be drawn.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +64,14 @@ def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _draw(cells: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """n inverse-CDF draws over the kept ``cells`` (a (k, 2) slot array with
-    cumulative probabilities ``cdf``); returns an (n, 2) array of slots."""
-    u = np.random.Generator(np.random.PCG64(seed)).random(n)
-    return np.take(cells, _cdf_index(cdf, u), axis=0)
+def _draw(cells: np.ndarray, cdf: np.ndarray, seed: int, out: np.ndarray) -> None:
+    """Fill the (m, 2) slice ``out`` with inverse-CDF draws over the kept
+    ``cells`` (a C-contiguous (k, 2) slot array with cumulative
+    probabilities ``cdf``)."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(len(out))
+    # _cdf_index returns indices below k, so "clip" never moves one; it spares
+    # the buffered copy of ``out`` that the default "raise" mode makes.
+    np.take(cells, _cdf_index(cdf, u), axis=0, out=out, mode="clip")
 
 
 def sample(
@@ -94,16 +99,19 @@ def sample(
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be in [0, 2^64)")
     mask = table.support(support_threshold)
-    if n == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    cells = np.argwhere(mask).astype(np.int64, copy=False)
+    shots = np.empty((n, 2), dtype=np.int64)
+    cells = np.ascontiguousarray(np.argwhere(mask), dtype=np.int64)
     cdf = np.cumsum(table.probabilities[mask])
     if batches == 1:
-        return _draw(cells, cdf, n, seed)
+        _draw(cells, cdf, seed, shots)
+        return shots
     base, extra = divmod(n, batches)
-    return np.concatenate(
-        [_draw(cells, cdf, base + (b < extra), derive_batch_seed(seed, b)) for b in range(min(batches, n))]
-    )
+    start = 0
+    for b in range(min(batches, n)):
+        stop = start + base + (b < extra)
+        _draw(cells, cdf, derive_batch_seed(seed, b), shots[start:stop])
+        start = stop
+    return shots
 
 
 def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
@@ -134,12 +142,35 @@ def empirical_report(shots: np.ndarray, table: JointTable, seed: int | None = No
     )
 
 
+def _csv_rows(q: int, chunk: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Chunk ``q`` of the shot CSV as one uint8 matrix of fixed-width byte
+    records, one row per cell in ``chunk``: the prefix ``str(q)``, the low
+    digits and the cell's tail. Chunk 0 has no prefix and NULs in place of
+    its leading zeros."""
+    prefix = np.frombuffer(str(q).encode() if q else b"", dtype=np.uint8)
+    p, width = len(prefix), digits.itemsize
+    rows = np.empty((len(chunk), p + width + tails.itemsize), dtype=np.uint8)
+    rows[:, :p] = prefix
+    rows[:, p : p + width].view(digits.dtype)[:, 0] = digits[: len(chunk)]
+    rows[:, p + width :].view(tails.dtype)[:, 0] = np.take(tails, chunk)
+    if not q:
+        # Shot s < 10^(width - 1 - j) has a leading zero at digit j.
+        for j in range(width - 1):
+            rows[: 10 ** (width - 1 - j), j] = 0
+    return rows
+
+
 def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     """Export an (n, 2) shot stream with eigenvalue labels resolved from the table.
 
     Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue; CSV
     row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
     written when a slot lies outside the table.
+
+    An existing file at ``path`` is written over in place, then cut at the
+    end of what was written, also when the write fails part way, so none of
+    its old bytes survive. Targets that are not regular files (pipes,
+    ``/dev/null``, ``/dev/stdout``) are written without the cut.
 
     Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
     with no Python object per shot. A chunk is one uint8 matrix of
@@ -149,7 +180,8 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     once, NUL-padded to a common width, and the digits and tails are copied
     in as whole ``V`` (raw bytes) elements. CSV text never contains NUL, so
     dropping every NUL byte of the matrix leaves exactly the chunk's rows in
-    order.
+    order. When every tail has the same width, chunks after the first hold
+    no NUL and are written as they are.
     """
     cells = _cells(shots, table)
     left_values, right_values = dict(table.left_labels), dict(table.right_labels)
@@ -161,24 +193,26 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     ]
     # numpy's bytes dtype NUL-pads every suffix to the longest one.
     tails = np.array(suffixes)
+    unpadded = all(len(s) == tails.itemsize for s in suffixes)
     tails = tails.view(f"V{tails.itemsize}")
     width, step = _CSV_CHUNK_DIGITS, 10**_CSV_CHUNK_DIGITS
     # Record s holds the digits of s, zero-padded to the width: digit j of a
     # row-major index into a (10,) * width grid is its index along axis j.
     digits = np.stack(np.indices((10,) * width, dtype=np.uint8), axis=-1) + ord("0")
     digits = digits.reshape(step, width).view(f"V{width}")[:, 0]
-    with open(path, "wb") as handle:
-        handle.write(_CSV_HEADER)
-        for q, start in enumerate(range(0, len(cells), step)):
-            chunk = cells[start : start + step]
-            prefix = np.frombuffer(str(q).encode() if q else b"", dtype=np.uint8)
-            p = len(prefix)
-            rows = np.empty((len(chunk), p + width + tails.itemsize), dtype=np.uint8)
-            rows[:, :p] = prefix
-            rows[:, p : p + width].view(digits.dtype)[:, 0] = digits[: len(chunk)]
-            rows[:, p + width :].view(tails.dtype)[:, 0] = np.take(tails, chunk)
-            if not q:
-                # Shot s < 10^(width - 1 - j) has a leading zero at digit j.
-                for j in range(width - 1):
-                    rows[: 10 ** (width - 1 - j), j] = 0
-            handle.write(rows[rows != 0].tobytes())
+    # No O_TRUNC: writing over the old bytes and cutting once at the end is
+    # cheaper than freeing the old file's blocks first. O_BINARY (Windows
+    # only) keeps the C runtime from rewriting the CRLF line ends.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as handle:
+        try:
+            handle.write(_CSV_HEADER)
+            for q, start in enumerate(range(0, len(cells), step)):
+                rows = _csv_rows(q, cells[start : start + step], digits, tails)
+                handle.write(rows if q and unpadded else rows[rows != 0])
+        finally:
+            # Cut at the descriptor's own offset, which counts only the bytes
+            # that reached the file, so a failed flush cannot leave old ones
+            # behind; bytes still buffered follow the cut when the handle closes.
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))

@@ -118,6 +118,28 @@ def test_sample_reruns_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_shorter_rerun_leaves_only_its_own_csv(tmp_path, capsys):
+    csv, fresh = tmp_path / "shots.csv", tmp_path / "fresh.csv"
+    for shots, path in (("10000", csv), ("10", csv), ("10", fresh)):
+        assert cli.main(["sample", "--scenario", "ks-mixed", "--shots", shots, "--seed", "5", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    assert csv.read_bytes() == fresh.read_bytes()
+
+
+def test_sample_writes_its_csv_to_a_pipe(tmp_path, capsys):
+    # Standard output is a pipe here, which cannot be cut to length like a file.
+    argv = ["sample", "--scenario", "dim4-mixed", "--shots", "150000", "--seed", "3", "--out", str(tmp_path / "r.json")]
+    result = subprocess.run(
+        [sys.executable, "-m", "contextsim.cli", *argv, "--csv", "/dev/stdout"], capture_output=True
+    )
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout.count(b"\r\n") == 150001
+    assert cli.main([*argv, "--csv", str(tmp_path / "file.csv")]) == 0
+    capsys.readouterr()
+    assert result.stdout == (tmp_path / "file.csv").read_bytes()
+
+
 def test_sample_forbidden_counts_are_zero(tmp_path, capsys):
     csv = tmp_path / "shots.csv"
     code, data = run_cli(
@@ -377,8 +399,8 @@ def test_sample_without_csv_or_out_writes_nothing(tmp_path, monkeypatch, capsys)
 
 
 def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):
-    # 2^50 uniforms take 8 PiB, more than any 64-bit address space holds, so
-    # the allocation fails at once whatever the overcommit setting.
+    # The (2^50, 2) int64 shot array takes 16 PiB, more than any 64-bit address
+    # space holds, so the allocation fails at once whatever the overcommit setting.
     csv = tmp_path / "shots.csv"
     code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", str(2**50), "--csv", str(csv)])
     captured = capsys.readouterr()
@@ -386,6 +408,7 @@ def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+    assert f"({2**50}, 2)" in captured.err
     assert "Traceback" not in captured.err
     assert not csv.exists()
 

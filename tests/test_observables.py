@@ -184,10 +184,20 @@ def test_editing_a_returned_basis_leaves_the_next_context_unchanged():
     for build in builds:
         first = build()
         basis, matrix = first.basis.copy(), first.matrix.copy()
-        first.basis[:] = 0.0
+        for array in (first.basis, first.units, first.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0.0
         second = build()
         assert np.array_equal(second.basis, basis)
         assert np.array_equal(second.matrix, matrix)
+
+
+def test_a_callers_basis_stays_writable_and_unshared():
+    rays = np.eye(3, dtype=complex)
+    context = ContextOperator(rays, (1.0, 2.0, 3.0))
+    rays[0, 0] = 2.0
+    assert rays.flags.writeable
+    assert context.basis[0, 0] == 1.0
 
 
 def test_ks_context_prime_eigenbasis():

@@ -1,8 +1,12 @@
 """Tests for the seeded shot sampler and empirical reporting."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from contextsim import sampler
 from contextsim.correlations import JointTable, joint_distribution
 from contextsim.errors import ShapeMismatchError
 from contextsim.observables import ks_context, ks_context_prime
@@ -17,6 +21,11 @@ from contextsim.states import spin1_singlet
 
 def mixed_table():
     return joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
+
+
+def padded_table():
+    # Row tails of unequal widths, so the rendered rows carry NUL padding.
+    return joint_distribution(spin1_singlet(), ks_context(1, 2.5, 30), ks_context_prime(4, 5, 6))
 
 
 def degenerate_table():
@@ -148,3 +157,59 @@ def test_seed_outside_64_bits_is_rejected(seed):
 def test_threshold_above_every_cell_is_rejected(n):
     with pytest.raises(ValueError, match="support threshold"):
         sample(mixed_table(), n, seed=1, support_threshold=0.5)
+
+
+def fresh_csv(tmp_path, shots, table) -> bytes:
+    """The CSV bytes as written to a path that did not exist before."""
+    path = tmp_path / "fresh.csv"
+    assert not path.exists()
+    write_shot_csv(shots, table, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("build", [mixed_table, padded_table])
+@pytest.mark.parametrize("old_shots", [3 * 10**5, 3], ids=["longer-file", "shorter-file"])
+def test_overwriting_a_csv_leaves_exactly_the_new_one(tmp_path, build, old_shots):
+    # Two whole chunks, so no row is still buffered when the file is cut.
+    table = build()
+    path = tmp_path / "shots.csv"
+    write_shot_csv(sample(table, old_shots, seed=1), table, path)
+    shots = sample(table, 2 * 10**5, seed=2)
+    write_shot_csv(shots, table, path)
+    assert path.read_bytes() == fresh_csv(tmp_path, shots, table)
+
+
+def test_a_failed_overwrite_leaves_no_stale_byte(tmp_path, monkeypatch):
+    table = mixed_table()
+    path = tmp_path / "shots.csv"
+    write_shot_csv(sample(table, 10**6, seed=1), table, path)
+    render = sampler._csv_rows
+
+    def fail_on_chunk_2(q, *args):
+        if q == 2:
+            raise RuntimeError("chunk 2 failed")
+        return render(q, *args)
+
+    monkeypatch.setattr(sampler, "_csv_rows", fail_on_chunk_2)
+    shots = sample(table, 3 * 10**5, seed=2)
+    with pytest.raises(RuntimeError, match="chunk 2"):
+        write_shot_csv(shots, table, path)
+    with pytest.raises(RuntimeError, match="chunk 2"):
+        fresh_csv(tmp_path, shots, table)
+    written = (tmp_path / "fresh.csv").read_bytes()
+    assert written.count(b"\n") == 1 + 2 * 10**5
+    assert path.read_bytes() == written
+
+
+def test_null_device_takes_the_csv():
+    table = mixed_table()
+    write_shot_csv(sample(table, 2 * 10**5 + 7, seed=3), table, os.devnull)
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
+def test_a_new_csv_gets_the_mode_of_a_plain_open(tmp_path):
+    table = mixed_table()
+    write_shot_csv(sample(table, 5, seed=1), table, tmp_path / "new.csv")
+    with open(tmp_path / "plain.csv", "wb"):
+        pass
+    assert os.stat(tmp_path / "new.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
