@@ -9,8 +9,6 @@ outright: outcomes with exact probability zero can never be drawn.
 
 from __future__ import annotations
 
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +165,6 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
     written when a slot lies outside the table.
 
-    An existing file at ``path`` is written over in place, then cut at the
-    end of what was written, also when the write fails part way, so none of
-    its old bytes survive. Targets that are not regular files (pipes,
-    ``/dev/null``, ``/dev/stdout``) are written without the cut.
-
     Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
     with no Python object per shot. A chunk is one uint8 matrix of
     fixed-width byte records: the chunk number as a prefix, the shot's
@@ -180,8 +173,7 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     once, NUL-padded to a common width, and the digits and tails are copied
     in as whole ``V`` (raw bytes) elements. CSV text never contains NUL, so
     dropping every NUL byte of the matrix leaves exactly the chunk's rows in
-    order. When every tail has the same width, chunks after the first hold
-    no NUL and are written as they are.
+    order.
     """
     cells = _cells(shots, table)
     left_values, right_values = dict(table.left_labels), dict(table.right_labels)
@@ -193,26 +185,14 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     ]
     # numpy's bytes dtype NUL-pads every suffix to the longest one.
     tails = np.array(suffixes)
-    unpadded = all(len(s) == tails.itemsize for s in suffixes)
     tails = tails.view(f"V{tails.itemsize}")
     width, step = _CSV_CHUNK_DIGITS, 10**_CSV_CHUNK_DIGITS
     # Record s holds the digits of s, zero-padded to the width: digit j of a
     # row-major index into a (10,) * width grid is its index along axis j.
     digits = np.stack(np.indices((10,) * width, dtype=np.uint8), axis=-1) + ord("0")
     digits = digits.reshape(step, width).view(f"V{width}")[:, 0]
-    # No O_TRUNC: writing over the old bytes and cutting once at the end is
-    # cheaper than freeing the old file's blocks first. O_BINARY (Windows
-    # only) keeps the C runtime from rewriting the CRLF line ends.
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as handle:
-        try:
-            handle.write(_CSV_HEADER)
-            for q, start in enumerate(range(0, len(cells), step)):
-                rows = _csv_rows(q, cells[start : start + step], digits, tails)
-                handle.write(rows if q and unpadded else rows[rows != 0])
-        finally:
-            # Cut at the descriptor's own offset, which counts only the bytes
-            # that reached the file, so a failed flush cannot leave old ones
-            # behind; bytes still buffered follow the cut when the handle closes.
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    with open(path, "wb") as handle:
+        handle.write(_CSV_HEADER)
+        for q, start in enumerate(range(0, len(cells), step)):
+            rows = _csv_rows(q, cells[start : start + step], digits, tails)
+            handle.write(rows[rows != 0])

@@ -127,7 +127,7 @@ def test_a_shorter_rerun_leaves_only_its_own_csv(tmp_path, capsys):
 
 
 def test_sample_writes_its_csv_to_a_pipe(tmp_path, capsys):
-    # Standard output is a pipe here, which cannot be cut to length like a file.
+    # Standard output is a pipe here, not a regular file.
     argv = ["sample", "--scenario", "dim4-mixed", "--shots", "150000", "--seed", "3", "--out", str(tmp_path / "r.json")]
     result = subprocess.run(
         [sys.executable, "-m", "contextsim.cli", *argv, "--csv", "/dev/stdout"], capture_output=True
