@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .correlations import (
-    SUPPORT_THRESHOLD,
     JointTable,
     contextuality_criterion,
     expectation,
@@ -34,9 +34,9 @@ from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
 from .scenarios import SCENARIOS, Scenario, get_scenario
 from .states import BipartiteState, density, singlet
+from .tolerances import CLOSED_FORM_TOL, SUPPORT_THRESHOLD
 
 DEFAULT_SEED = 42
-CLOSED_FORM_TOL = 1e-9
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONSISTENCY = 2
@@ -111,7 +111,9 @@ def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _load_basis_file(path: str) -> dict:
+def _load_basis_file(path: str | None) -> dict:
+    if not path:
+        raise ValueError("scenario 'custom' requires --basis-file")
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -119,10 +121,7 @@ def _load_basis_file(path: str) -> dict:
     return data
 
 
-def _custom_pair(args) -> tuple[BipartiteState, ContextOperator, ContextOperator, None]:
-    if not args.basis_file:
-        raise ValueError("scenario 'custom' requires --basis-file")
-    data = _load_basis_file(args.basis_file)
+def _custom_pair(args, data: dict) -> tuple[BipartiteState, ContextOperator, ContextOperator, None]:
     if "left" not in data or "right" not in data:
         raise ValueError("basis file must define 'left' and 'right' bases")
     left_basis = _parse_basis(data["left"])
@@ -150,7 +149,7 @@ def _named_pair(
 
 def _build_pair(args):
     if args.scenario == "custom":
-        return _custom_pair(args)
+        return _custom_pair(args, _load_basis_file(args.basis_file))
     return _named_pair(get_scenario(args.scenario), args)
 
 
@@ -182,9 +181,18 @@ def _expectation_tol(a: ContextOperator, b: ContextOperator, *values: float | No
     return CLOSED_FORM_TOL * scale
 
 
+def _check_closed_form(a: ContextOperator, b: ContextOperator, value: float, closed: float | None) -> None:
+    """Reject ``value`` when it misses the closed form ``closed`` (None for
+    none) by more than :func:`_expectation_tol`, or when either overflowed."""
+    tol = _expectation_tol(a, b, value, closed)
+    if closed is not None and abs(value - closed) > tol:
+        raise ConsistencyFailure(f"numeric expectation {value} deviates from closed form {closed}")
+
+
 def _check_table(state, a, b, table: JointTable, closed: float | None) -> float:
-    """Cross-check contraction, normalization and, when there is one, the
-    closed form; returns the expectation."""
+    """Cross-check the table contraction and, when there is one, the closed
+    form against the expectation; returns the expectation. (The table checked
+    its own normalization when it was built.)"""
     exact = expectation(density(state), a, b)
     lam = np.array([v for _, v in table.left_labels])
     mu = np.array([v for _, v in table.right_labels])
@@ -193,11 +201,7 @@ def _check_table(state, a, b, table: JointTable, closed: float | None) -> float:
         raise ConsistencyFailure(
             f"table contraction {contracted} disagrees with expectation {exact}"
         )
-    total = float(table.probabilities.sum())
-    if abs(total - 1.0) > CLOSED_FORM_TOL:
-        raise ConsistencyFailure(f"table probabilities sum to {total}")
-    if closed is not None and abs(exact - closed) > _expectation_tol(a, b, closed):
-        raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
+    _check_closed_form(a, b, exact, closed)
     return exact
 
 
@@ -213,11 +217,7 @@ def cmd_expectation(args) -> dict:
         "closed_form": closed,
         "abs_difference": None if closed is None else abs(value - closed),
     }
-    tol = _expectation_tol(a, b, value, closed)
-    if closed is not None and abs(value - closed) > tol:
-        raise ConsistencyFailure(
-            f"numeric expectation {value} deviates from closed form {closed}"
-        )
+    _check_closed_form(a, b, value, closed)
     return payload
 
 
@@ -275,7 +275,7 @@ def cmd_sample(args) -> dict:
         for i, j in get_scenario(args.scenario).forbidden_cells:
             if report.counts[i, j] != 0:
                 raise ConsistencyFailure(f"forbidden cell ({i}, {j}) drew {report.counts[i, j]} shots")
-    csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
+    csv_path = _csv_path(args)
     write_shot_csv(shots, table, csv_path)
     return {
         "command": "sample",
@@ -293,8 +293,6 @@ def cmd_sample(args) -> dict:
 
 def _contexts_for_states(args) -> list[ContextOperator]:
     if args.scenario == "custom":
-        if not args.basis_file:
-            raise ValueError("scenario 'custom' requires --basis-file")
         data = _load_basis_file(args.basis_file)
         if "contexts" in data:
             if not isinstance(data["contexts"], list):
@@ -309,7 +307,7 @@ def _contexts_for_states(args) -> list[ContextOperator]:
             if not contexts:
                 raise ValueError("basis file lists no contexts")
             return contexts
-        _, a, b, _ = _custom_pair(args)
+        _, a, b, _ = _custom_pair(args, data)
         return [a, b]
     scenario = get_scenario(args.scenario)
     a, b = scenario.contexts(scenario.default_left, scenario.default_right)
@@ -413,17 +411,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _csv_path(args) -> str:
+    return args.csv or str(Path(args.out).with_suffix(".csv"))
+
+
+def _is_report_file(path: str, out: str | None) -> bool:
+    """Whether ``path`` is the report's file: ``out``, or standard output
+    when ``out`` is None."""
+    try:
+        return os.path.samestat(os.stat(path), os.stat(out) if out else os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        # A file that does not exist yet (or a stdout with no descriptor) is
+        # the report's only when both are named by the same path.
+        return out is not None and os.path.realpath(path) == os.path.realpath(out)
+
+
 def _check_flags(args) -> None:
+    """Checks on flags alone, before any work; ``sample`` leaves its
+    ``--shots``, ``--seed`` and ``--batches`` ranges to the library."""
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError("--tol must be finite and nonnegative")
     if args.command != "sample":
         return
-    if args.shots < 0:
-        raise ValueError("--shots must be nonnegative")
-    if not 0 <= args.seed < 2**64:
-        raise ValueError("--seed must be in [0, 2^64)")
     if not (args.csv or args.out):
         raise ValueError("sample needs --csv or --out to name the shot CSV")
+    if _is_report_file(_csv_path(args), args.out):
+        raise ValueError(f"the shot CSV and the JSON report would share {_csv_path(args)}; give --csv another path")
 
 
 def main(argv=None) -> int:

@@ -21,20 +21,17 @@ from .errors import (
 from .linalg import as_vector
 from .observables import ContextOperator
 from .states import BipartiteState, DensityMatrix
-
-SUPPORT_THRESHOLD = 1e-10
-NORMALIZATION_TOL = 1e-9
-NEGATIVE_FLOOR = -1e-12
-IMAG_TOL = 1e-10
+from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, SUPPORT_THRESHOLD
 
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Joint outcome probabilities P[i, j] for one context pair on one state.
 
-    Labels are (slot, eigenvalue) pairs. Probabilities more negative than
-    -1e-12 signal a broken projector and are rejected; tiny negative
-    roundoff is clamped to zero.
+    Labels are (slot, eigenvalue) pairs. Probabilities below
+    ``NEGATIVE_FLOOR`` signal a broken projector and are rejected; tiny
+    negative roundoff is clamped to zero. The clamped table must sum to 1
+    within ``NORMALIZATION_TOL``.
     """
 
     left_labels: tuple[tuple[int, float], ...]
@@ -119,7 +116,7 @@ def expectation(rho: DensityMatrix, a: ContextOperator, b: ContextOperator) -> f
     """Tr{rho * (A x B)} as a real number.
 
     Raises NonNegligibleImaginaryPartError if the raw trace has an imaginary
-    part above 1e-10 times :func:`expectation_scale` (a non-Hermitian
+    part above ``IMAG_TOL`` times :func:`expectation_scale` (a non-Hermitian
     operand slipped through)."""
     if rho.dim != a.dim * b.dim:
         raise DimensionMismatchError(
@@ -158,25 +155,29 @@ def joint_distribution(
     )
 
 
-def _support_components(support: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], np.ndarray]:
     """Connected components of the bipartite support graph, as sorted
-    (left slots, right slots) pairs ordered by smallest left slot.
+    (left slots, right slots) pairs ordered by smallest left slot, and the
+    boolean mask ``spans`` of the cells (i, j) with j in left slot i's
+    component.
 
     Two left slots are adjacent when they share a populated right slot, which
     is the boolean product ``support @ support.T``; squaring it until it stops
-    changing gives reachability, and ``reach @ support`` the right slots each
-    left slot reaches."""
+    changing gives reachability, and ``spans = reach @ support`` the right
+    slots each left slot reaches. Every component fills its full product of
+    slots exactly when ``spans`` equals ``support``."""
     reach = support @ support.T
     while not np.array_equal(closure := reach @ reach, reach):
         reach = closure
+    spans = reach @ support
     components = []
     # reach[i, i] holds when row i is nonempty; it opens a component unless it reaches an earlier row.
-    for i, (row, cols) in enumerate(zip(reach.tolist(), (reach @ support).tolist())):
+    for i, (row, cols) in enumerate(zip(reach.tolist(), spans.tolist())):
         if row[i] and not any(row[:i]):
             left = tuple(k for k, hit in enumerate(row) if hit)
             right = tuple(j for j, hit in enumerate(cols) if hit)
             components.append((left, right))
-    return components
+    return components, spans
 
 
 def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> UniquenessReport:
@@ -206,16 +207,13 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     cols_single = bool(np.all(support.sum(axis=0) == 1))
     is_unique = rows_single and cols_single and violation_mass <= tol
 
-    components = _support_components(support)
-    block_structured = all(
-        bool(support[np.ix_(left, right)].all()) for left, right in components
-    )
+    components, spans = _support_components(support)
     return UniquenessReport(
         is_unique=is_unique,
         pairing=pairing,
         violation_mass=violation_mass,
         blocks=tuple(components),
-        block_structured=block_structured,
+        block_structured=bool(np.array_equal(support, spans)),
     )
 
 
@@ -223,15 +221,20 @@ def contextuality_criterion(
     table: JointTable, forbidden: list[tuple[int, int]] | tuple[tuple[int, int], ...]
 ) -> CriterionReport:
     """Probability report over the cells a contextual account predicts to
-    be populated; quantum mechanics predicts zero total mass on them."""
+    be populated; quantum mechanics predicts zero total mass on them.
+
+    Raises BadCellIndexError for a cell outside the table or listed twice
+    (its probability would count twice in the mass)."""
     n, m = table.shape
-    cells = []
+    cells = {}
     for i, j in forbidden:
         if not (0 <= i < n and 0 <= j < m):
             raise BadCellIndexError(f"cell ({i}, {j}) outside a {n}x{m} table")
-        cells.append((int(i), int(j), float(table.probabilities[i, j])))
-    mass = float(sum(c[2] for c in cells))
-    return CriterionReport(forbidden_cells=tuple(cells), contextual_mass=mass)
+        if (i, j) in cells:
+            raise BadCellIndexError(f"cell ({i}, {j}) listed twice")
+        cells[int(i), int(j)] = float(table.probabilities[i, j])
+    mass = float(sum(cells.values()))
+    return CriterionReport(forbidden_cells=tuple((i, j, p) for (i, j), p in cells.items()), contextual_mass=mass)
 
 
 def sequential_link_test(

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import as_vector
 from .observables import ContextOperator
-
-RAY_MATCH_TOL = 1e-8
+from .tolerances import RAY_MATCH_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError, NotHermitianError, ZeroVectorError
-
-PHASE_CUTOFF = 1e-8
-HERMITICITY_TOL = 1e-10
+from .tolerances import HERMITICITY_TOL, PHASE_CUTOFF
 
 
 def as_matrix(a) -> np.ndarray:

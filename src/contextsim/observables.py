@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NonOrthonormalBasisError
 from .linalg import as_matrix, as_vector, projector_from_ray, unit_rows
+from .tolerances import BASIS_TOL, MERGE_TOL
 
 TWO_PI = 2.0 * math.pi
-MERGE_TOL = 1e-8
-BASIS_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import SUPPORT_THRESHOLD, JointTable
+from .correlations import JointTable
 from .errors import ShapeMismatchError
+from .tolerances import SUPPORT_THRESHOLD
 
 _MASK64 = (1 << 64) - 1
 _CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"

@@ -14,9 +14,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NoConvergenceError, UnsupportedDimensionError
 from .linalg import as_matrix, as_vector, is_hermitian, is_unitary
 from .observables import Direction, spin1_operator
-
-NORM_TOL = 1e-12
-DENSITY_TOL = 1e-10
+from .tolerances import DENSITY_TOL, NORM_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,8 +252,13 @@ def test_custom_joint_requires_forbidden(tmp_path, capsys):
 
 
 def test_custom_requires_basis_file(capsys):
-    code, _ = run_cli(capsys, "expectation", "--scenario", "custom")
-    assert code == 1
+    for command in ("expectation", "states"):
+        assert cli.main([command, "--scenario", "custom"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: scenario 'custom' requires --basis-file"]
+
+
+def test_repeated_forbidden_cell_exits_with_one_line(capsys):
+    assert_one_line_validation_failure(capsys, "joint", "--scenario", "ks-collinear", "--forbidden", "0,0;0,0;0,0;0,0")
 
 
 def test_degenerate_spectrum_exits_with_validation_failure(capsys):
@@ -376,8 +382,9 @@ def test_bad_tol_exits_with_one_line(capsys, tol):
 
 
 def test_negative_shots_exits_with_one_line(tmp_path, capsys):
-    csv = str(tmp_path / "shots.csv")
-    assert_one_line_validation_failure(capsys, "sample", "--scenario", "ks-mixed", "--shots", "-5", "--csv", csv)
+    csv = tmp_path / "shots.csv"
+    assert_one_line_validation_failure(capsys, "sample", "--scenario", "ks-mixed", "--shots", "-5", "--csv", str(csv))
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -396,6 +403,33 @@ def test_sample_without_csv_or_out_writes_nothing(tmp_path, monkeypatch, capsys)
     assert code == 1
     assert err.strip().splitlines() == ["error: sample needs --csv or --out to name the shot CSV"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("files", [["--out", "r.csv"], ["--out", "r", "--csv", "r"], ["--out", "r.json", "--csv", "./r.json"]])
+def test_sample_rejects_a_csv_in_the_report_file(tmp_path, monkeypatch, capsys, files):
+    # --out r.csv puts the default CSV (--out with a .csv suffix) in r.csv too.
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", "10", *files])
+    err = capsys.readouterr().err
+    assert code == 1
+    [line] = err.strip().splitlines()
+    assert line.startswith("error: the shot CSV and the JSON report would share ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_sample_rejects_a_csv_on_standard_output_without_out(tmp_path):
+    # Without --out the report goes to standard output, here a regular file.
+    stdout = tmp_path / "o.txt"
+    with open(stdout, "wb") as handle:
+        result = subprocess.run(
+            [sys.executable, "-m", "contextsim.cli", "sample", "--scenario", "ks-mixed", "--shots", "5", "--csv", "/dev/stdout"],
+            stdout=handle,
+            stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 1
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert stdout.read_bytes() == b""
 
 
 def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):

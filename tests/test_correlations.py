@@ -272,7 +272,12 @@ def test_support_components_match_a_breadth_first_search_on_every_pattern(dim):
     cells = dim * dim
     bits = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
     for pattern in bits.astype(bool).reshape(-1, dim, dim):
-        assert _support_components(pattern) == breadth_first_components(pattern)
+        components, spans = _support_components(pattern)
+        expected = breadth_first_components(pattern)
+        assert components == expected
+        # Oracle for block_structured: every component fills its full product of slots.
+        filled = all(pattern[np.ix_(left, right)].all() for left, right in expected)
+        assert np.array_equal(pattern, spans) == filled
 
 
 def test_uniform_table_is_not_unique():
@@ -312,6 +317,12 @@ def test_criterion_mass_on_uniform_table():
 def test_criterion_rejects_bad_cell():
     with pytest.raises(BadCellIndexError):
         contextuality_criterion(uniform_table(3), [(0, 3)])
+
+
+def test_criterion_rejects_a_repeated_cell():
+    # Counted twice, the uniform table's (0, 0) would add 2/9 to the mass.
+    with pytest.raises(BadCellIndexError, match=r"cell \(0, 0\) listed twice"):
+        contextuality_criterion(uniform_table(3), [(0, 0), (1, 2), (0, 0)])
 
 
 def test_sequential_link_ray_gives_certainty():

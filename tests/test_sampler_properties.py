@@ -35,8 +35,9 @@ EIGENVALUE = st.one_of(
 
 
 def spectra(d):
+    # The gap is relative, as the contexts' distinct-spectrum check is.
     return st.lists(EIGENVALUE, min_size=d, max_size=d, unique=True).filter(
-        lambda v: min(abs(x - y) for i, x in enumerate(v) for y in v[i + 1 :]) > 1e-6
+        lambda v: min(abs(x - y) for i, x in enumerate(v) for y in v[i + 1 :]) > 1e-6 * max(1.0, *map(abs, v))
     )
 
 
