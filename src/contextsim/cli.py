@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -417,9 +418,12 @@ def _csv_path(args) -> str:
 
 def _is_report_file(path: str, out: str | None) -> bool:
     """Whether ``path`` is the report's file: ``out``, or standard output
-    when ``out`` is None."""
+    when ``out`` is None. Only a regular file loses bytes when both write
+    to it; a shared device or pipe (``/dev/null``) is not the report's."""
     try:
-        return os.path.samestat(os.stat(path), os.stat(out) if out else os.fstat(sys.stdout.fileno()))
+        target = os.stat(path)
+        report = os.stat(out) if out else os.fstat(sys.stdout.fileno())
+        return stat.S_ISREG(target.st_mode) and os.path.samestat(target, report)
     except (OSError, ValueError):
         # A file that does not exist yet (or a stdout with no descriptor) is
         # the report's only when both are named by the same path.

@@ -417,6 +417,25 @@ def test_sample_rejects_a_csv_in_the_report_file(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_rejects_a_csv_in_an_existing_report_file(tmp_path, capsys):
+    # A rerun: the report file is there from the last run and is left as it was.
+    report = tmp_path / "r.json"
+    report.write_bytes(b"{}\n")
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", "10", "--out", str(report), "--csv", str(report)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert report.read_bytes() == b"{}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+def test_sample_may_send_csv_and_report_to_the_null_device(capsys):
+    # Nothing is overwritten on a device, so sharing it is no error.
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", "10", "--out", "/dev/null", "--csv", "/dev/null"])
+    assert capsys.readouterr().err == ""
+    assert code == 0
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
 def test_sample_rejects_a_csv_on_standard_output_without_out(tmp_path):
     # Without --out the report goes to standard output, here a regular file.

@@ -26,6 +26,7 @@ from contextsim.errors import ShapeMismatchError
 from contextsim.observables import context_from_basis, ks_context, ks_context_prime
 from contextsim.sampler import derive_batch_seed, empirical_report, sample, write_shot_csv
 from contextsim.states import singlet, spin1_singlet
+from contextsim.tolerances import MERGE_TOL
 
 SETTINGS = settings(max_examples=40, deadline=None)
 EIGENVALUE = st.one_of(
@@ -35,9 +36,11 @@ EIGENVALUE = st.one_of(
 
 
 def spectra(d):
-    # The gap is relative, as the contexts' distinct-spectrum check is.
+    # Drop only the spectra the contexts refuse as degenerate (gap at or
+    # below MERGE_TOL scaled by max(1, max|λ|)), and near-ties below 1e-6.
     return st.lists(EIGENVALUE, min_size=d, max_size=d, unique=True).filter(
-        lambda v: min(abs(x - y) for i, x in enumerate(v) for y in v[i + 1 :]) > 1e-6 * max(1.0, *map(abs, v))
+        lambda v: min(abs(x - y) for i, x in enumerate(v) for y in v[i + 1 :])
+        > max(1e-6, MERGE_TOL * max(1.0, *map(abs, v)))
     )
 
 
