@@ -51,6 +51,7 @@ from .observables import (
     ContextOperator,
     Direction,
     FourDimContexts,
+    RaySet,
     context_from_basis,
     four_dim_contexts,
     ks_context,

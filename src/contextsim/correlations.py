@@ -7,6 +7,7 @@ user-chosen reals that may collide across the two sides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -180,12 +181,22 @@ def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...]
     return components, spans
 
 
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """Read-only (n!, n) table of every permutation of range(n), in
+    lexicographic order, built once per n."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
+
+
 def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> UniquenessReport:
     """Check whether the table's support is a slot bijection.
 
     Cells with probability above ``tol`` count as populated. The pairing is
-    the best (probability-maximizing) slot matching, found exhaustively
-    (tables here are at most 4x4). ``violation_mass`` is the probability
+    the best (probability-maximizing) slot matching, found by scoring all
+    n! permutations at once (tables here are at most 4x4; the table of
+    permutations grows as n!). ``violation_mass`` is the probability
     outside that matching. Raises ValueError when no cell is populated."""
     p = table.probabilities
     n, m = p.shape
@@ -193,15 +204,19 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
         raise ValueError("uniqueness is defined for square tables")
     support = table.support(tol)
 
-    best_mass = -1.0
-    best_perm: tuple[int, ...] = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        mass = float(sum(p[i, perm[i]] for i in range(n)))
-        if mass > best_mass:
-            best_mass = mass
-            best_perm = perm
+    # masses[k] is the sum over slots i of p[i, perms[k, i]]. The columns are
+    # added one by one, in slot order, so each mass rounds exactly as a
+    # running sum does (ndarray.sum leaves its order of addition open), and
+    # argmax keeps the first permutation of greatest mass.
+    perms = _permutations(n)
+    gathered = p[np.arange(n), perms]
+    masses = gathered[:, 0]
+    for i in range(1, n):
+        masses = masses + gathered[:, i]
+    best = int(np.argmax(masses))
+    best_perm = perms[best].tolist()
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
-    violation_mass = float(p.sum() - best_mass)
+    violation_mass = float(p.sum() - masses[best])
 
     rows_single = bool(np.all(support.sum(axis=1) == 1))
     cols_single = bool(np.all(support.sum(axis=0) == 1))

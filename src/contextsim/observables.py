@@ -10,6 +10,7 @@ sharing two rays, plus a generic constructor from an arbitrary basis.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -103,68 +104,113 @@ def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class ContextOperator:
-    """A maximal observable: orthonormal outcome basis, one distinct real
-    eigenvalue per basis ray, and the Hermitian matrix they define.
+class RaySet:
+    """An orthonormal basis, validated once.
 
-    ``basis`` is one complex (d, d) array whose rows are the outcome rays,
-    so ``basis[k]`` is the ray of slot k; ``units`` holds the same rows
-    divided by their norms. The basis fixes the context and the spectrum
-    only labels its outcomes, so ``matrix`` is not an input: it is the
-    spectral synthesis sum(spectrum[k] * |units[k]><units[k]|). The three
-    arrays are read-only, so no in-place edit can make them disagree; the
-    caller's basis is copied, not frozen.
+    ``basis`` is one complex (d, d) array whose rows are the rays; ``units``
+    holds the same rows divided by their norms. This is the one home of the
+    Gram check: every entry of |conj(R) R^T - I| must lie within
+    ``BASIS_TOL``. Both arrays are read-only copies, so a ray set that
+    passed the check once stays valid wherever it is shared; the caller's
+    array is copied, not frozen.
     """
 
     basis: np.ndarray
-    spectrum: tuple[float, ...]
-    label: str = ""
     units: np.ndarray = field(init=False, repr=False)
-    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        spectrum = check_distinct_spectrum(self.spectrum)
         # A private copy: as_matrix returns complex input as it is.
         basis = as_matrix(self.basis).copy()
-        dim = basis.shape[0]
-        if len(spectrum) != dim:
-            raise ValueError("need one basis ray and one eigenvalue per dimension")
         units = unit_rows(basis)
-        if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))) > BASIS_TOL:
+        if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(basis.shape[0])))) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
-        matrix = (units.T * spectrum) @ units.conj()
-        for array in (basis, units, matrix):
+        for array in (basis, units):
             array.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "units", units)
-        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class ContextOperator:
+    """A maximal observable: orthonormal outcome basis, one distinct real
+    eigenvalue per basis ray, and the Hermitian matrix they define.
+
+    ``rays`` is a :class:`RaySet`, or an array of rays that is validated
+    into one. ``basis[k]`` is the ray of slot k and ``units[k]`` its unit
+    row. The basis fixes the context and the spectrum only labels its
+    outcomes, so ``matrix`` is not an input: it is the spectral synthesis
+    sum(spectrum[k] * |units[k]><units[k]|), computed with the spectrum
+    check on every construction. All three arrays are read-only, so no
+    in-place edit can make them disagree.
+    """
+
+    rays: RaySet
+    spectrum: tuple[float, ...]
+    label: str = ""
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spectrum = check_distinct_spectrum(self.spectrum)
+        rays = self.rays if isinstance(self.rays, RaySet) else RaySet(self.rays)
+        if len(spectrum) != rays.dim:
+            raise ValueError("need one basis ray and one eigenvalue per dimension")
+        matrix = (rays.units.T * spectrum) @ rays.units.conj()
+        matrix.setflags(write=False)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.rays.basis
+
+    @property
+    def units(self) -> np.ndarray:
+        return self.rays.units
+
+    @property
+    def dim(self) -> int:
+        return self.rays.dim
 
     def projectors(self) -> tuple[np.ndarray, ...]:
         """Rank-1 outcome projectors, one per basis ray."""
         return tuple(projector_from_ray(v) for v in self.basis)
 
 
+_S = 1.0 / math.sqrt(2.0)
+# The outcome rays of the named contexts, one row per slot.
+_NAMED_RAYS = {
+    "ks": [[0.0, 1.0, 0.0], [_S, 0.0, _S], [-_S, 0.0, _S]],
+    "ks'": [[0.0, 1.0, 0.0], [-1j * _S, 0.0, _S], [1j * _S, 0.0, _S]],
+    "C": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    "C'": [[_S, _S, 0.0, 0.0], [-_S, _S, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+}
+
+
+# Each named ray set is built and checked the first time a context asks for
+# it, then shared. Not at import: the Gram check's complex matmul starts
+# numpy's BLAS, and doing that at import raises a CLI process's peak RSS.
+@functools.cache
+def _named_rays(name: str) -> RaySet:
+    return RaySet(np.array(_NAMED_RAYS[name], dtype=complex))
+
+
 def ks_context(alpha: float, beta: float, gamma: float, label: str = "C_KS") -> ContextOperator:
     """First tripod context: outcome rays (0,1,0), (1,0,1)/sqrt2 and
     (-1,0,1)/sqrt2 carrying alpha, beta, gamma. Its matrix is the paper's
     combination of squared spin components along x, y and z."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    basis = np.array([[0.0, 1.0, 0.0], [inv_sqrt2, 0.0, inv_sqrt2], [-inv_sqrt2, 0.0, inv_sqrt2]], dtype=complex)
-    return ContextOperator(basis, (alpha, beta, gamma), label)
+    return ContextOperator(_named_rays("ks"), (alpha, beta, gamma), label)
 
 
 def ks_context_prime(alpha: float, beta: float, gamma: float, label: str = "C_KS'") -> ContextOperator:
     """Second tripod context: :func:`ks_context` rotated by 45 degrees about
     z, sharing the ray (0,1,0) with it; the other outcome rays are
     (-i,0,1)/sqrt2 and (i,0,1)/sqrt2."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    basis = np.array([[0.0, 1.0, 0.0], [-1j * inv_sqrt2, 0.0, inv_sqrt2], [1j * inv_sqrt2, 0.0, inv_sqrt2]])
-    return ContextOperator(basis, (alpha, beta, gamma), label)
+    return ContextOperator(_named_rays("ks'"), (alpha, beta, gamma), label)
 
 
 class FourDimContexts(NamedTuple):
@@ -182,14 +228,9 @@ def four_dim_contexts(
     carrying the first two eigenvalues, and keeps e3, e4 unchanged.
     """
     spectrum = (alpha, beta, gamma, delta)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    cp_basis = np.array(
-        [[inv_sqrt2, inv_sqrt2, 0.0, 0.0], [-inv_sqrt2, inv_sqrt2, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-        dtype=complex,
-    )
     return FourDimContexts(
-        C=ContextOperator(np.eye(4, dtype=complex), spectrum, "C"),
-        C_prime=ContextOperator(cp_basis, spectrum, "C'"),
+        C=ContextOperator(_named_rays("C"), spectrum, "C"),
+        C_prime=ContextOperator(_named_rays("C'"), spectrum, "C'"),
     )
 
 

@@ -6,8 +6,9 @@ Bipartite vectors are flattened first-particle-major: the amplitude of
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +20,20 @@ from .tolerances import DENSITY_TOL, NORM_TOL
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Unit-norm pure state on a local_dim (x) local_dim tensor product."""
+    """Unit-norm pure state on a local_dim (x) local_dim tensor product.
+
+    ``amplitudes`` is a read-only copy of the caller's vector, and
+    ``density_matrix`` its rank-1 density matrix |state><state|, built and
+    checked once with the state."""
 
     local_dim: int
     amplitudes: np.ndarray
     label: str = ""
+    density_matrix: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        amplitudes = as_vector(self.amplitudes)
+        # A private copy: as_vector returns complex input as it is.
+        amplitudes = as_vector(self.amplitudes).copy()
         if self.local_dim < 2:
             raise ValueError("local dimension must be at least 2")
         if amplitudes.shape[0] != self.local_dim**2:
@@ -36,17 +43,22 @@ class BipartiteState:
         norm = float(np.linalg.norm(amplitudes))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "density_matrix", DensityMatrix(np.outer(amplitudes, amplitudes.conj())))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    ``matrix`` is a read-only copy of the caller's array."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = as_matrix(self.matrix)
+        # A private copy: as_matrix returns complex input as it is.
+        matrix = as_matrix(self.matrix).copy()
         if not is_hermitian(matrix):
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(matrix).real - 1.0) > DENSITY_TOL:
@@ -57,6 +69,7 @@ class DensityMatrix:
             raise NoConvergenceError(f"eigensolver did not converge: {exc}") from None
         if lowest < -DENSITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest}")
+        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -64,6 +77,9 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+# The singlets are built and checked once, the first time they are asked for,
+# and then shared: a state, its amplitudes and its density matrix are read-only.
+@functools.cache
 def spin1_singlet() -> BipartiteState:
     """Total-spin-zero state of two spin-1 particles (9 amplitudes)."""
     amplitudes = np.zeros(9, dtype=complex)
@@ -74,6 +90,7 @@ def spin1_singlet() -> BipartiteState:
     return BipartiteState(local_dim=3, amplitudes=amplitudes, label="spin1-singlet")
 
 
+@functools.cache
 def spin32_singlet() -> BipartiteState:
     """Total-spin-zero state of two spin-3/2 particles (16 amplitudes).
 
@@ -99,9 +116,8 @@ def singlet(local_dim: int) -> BipartiteState:
 
 
 def density(state: BipartiteState) -> DensityMatrix:
-    """Rank-1 density matrix |state><state|."""
-    amp = state.amplitudes
-    return DensityMatrix(matrix=np.outer(amp, amp.conj()))
+    """Rank-1 density matrix |state><state|, the one the state carries."""
+    return state.density_matrix
 
 
 def rotation_operator_spin1(d: Direction, angle: float) -> np.ndarray:

@@ -341,6 +341,22 @@ def test_module_entry_point_round_trip(tmp_path):
     assert data["expectation"] == 10.5
 
 
+def test_importing_the_cli_builds_no_ray_set_and_no_singlet():
+    # The named ray sets and the singlets are checked on first use, not at
+    # import: the first complex matmul starts BLAS and raises the peak RSS.
+    code = """
+import contextsim.cli
+from contextsim import observables, states
+caches = (observables._named_rays, states.spin1_singlet, states.spin32_singlet)
+print(sum(f.cache_info().currsize for f in caches))
+observables.ks_context(1, 2, 3), observables.ks_context_prime(1, 2, 3)
+observables.four_dim_contexts(1, 2, 3, 4), states.singlet(3), states.singlet(4)
+print(sum(f.cache_info().currsize for f in caches))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "6"]
+
+
 def assert_one_line_validation_failure(capsys, *argv):
     code = cli.main(list(argv))
     err = capsys.readouterr().err

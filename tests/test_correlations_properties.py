@@ -9,22 +9,27 @@ also give every ray a random phase and scale its norm by 1 +- 1e-9, which the
 basis check accepts and the predictions must undo.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextsim.correlations import (
+    JointTable,
     expectation,
     expectation_scale,
     joint_distribution,
     marginals,
     sequential_link_test,
+    verify_uniqueness,
 )
 from contextsim.greechie import diagram_from_contexts
 from contextsim.linalg import projector_from_ray
 from contextsim.observables import context_from_basis
 from contextsim.states import DensityMatrix, density, singlet
+from contextsim.tolerances import SUPPORT_THRESHOLD
 
 SETTINGS = settings(max_examples=60, deadline=None)
 EIGENVALUE = st.one_of(
@@ -171,3 +176,72 @@ def test_density_matrix_tolerates_only_roundoff_below_zero(lowest, accepted):
     else:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(matrix)
+
+
+def uniqueness_oracle(p, tol=SUPPORT_THRESHOLD):
+    """(pairing, violation mass, status) from a loop over every permutation.
+
+    The first permutation of strictly greatest mass wins. The support is
+    block-structured exactly when any two of its rows are equal or disjoint."""
+    n = p.shape[0]
+    support = p > tol
+    best_mass, best_perm = -1.0, tuple(range(n))
+    for perm in itertools.permutations(range(n)):
+        mass = float(sum(p[i, perm[i]] for i in range(n)))
+        if mass > best_mass:
+            best_mass, best_perm = mass, perm
+    pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
+    violation_mass = float(p.sum() - best_mass)
+    singles = bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
+    rows = [frozenset(np.flatnonzero(row)) for row in support]
+    if singles and violation_mass <= tol:
+        status = "unique"
+    elif all(r == s or not r & s for r in rows for s in rows):
+        status = "block-structured"
+    else:
+        status = "irregular"
+    return pairing, violation_mass, status
+
+
+def square_table(weights):
+    p = np.asarray(weights, dtype=float)
+    p = p / p.sum()
+    labels = tuple((k, float(k)) for k in range(p.shape[0]))
+    return JointTable(labels, labels, p)
+
+
+def assert_uniqueness_matches_the_oracle(table):
+    report = verify_uniqueness(table)
+    assert (report.pairing, report.violation_mass, report.status) == uniqueness_oracle(table.probabilities)
+
+
+@st.composite
+def square_weights(draw):
+    """n x n nonnegative weights, n in {2, 3, 4}: small integers, whose
+    tables tie often, or floats, with exact zeros among them."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    entry = draw(st.sampled_from((st.integers(0, 3).map(float), st.floats(0.0, 1.0) | st.just(0.0))))
+    weights = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if weights.sum() == 0.0:
+        weights[0, 0] = 1.0
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_weights())
+def test_uniqueness_equals_the_permutation_loop_oracle(weights):
+    assert_uniqueness_matches_the_oracle(square_table(weights))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_an_all_tie_table_pairs_slot_by_slot(n):
+    table = square_table(np.ones((n, n)))
+    assert_uniqueness_matches_the_oracle(table)
+    assert verify_uniqueness(table).pairing == tuple((i, i) for i in range(n))
+
+
+def test_of_two_equal_best_permutations_the_first_wins():
+    # (0, 2, 1) and (1, 0, 2) both carry mass 1/2; (0, 2, 1) comes first.
+    table = square_table([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert_uniqueness_matches_the_oracle(table)
+    assert verify_uniqueness(table).pairing == ((0, 0), (1, 2), (2, 1))

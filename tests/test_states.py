@@ -10,6 +10,7 @@ from contextsim.linalg import is_unitary
 from contextsim.observables import Direction, spin1_operator
 from contextsim.states import (
     BipartiteState,
+    DensityMatrix,
     check_rotation_invariance,
     density,
     rotation_operator_spin1,
@@ -169,6 +170,38 @@ def test_density_matrix_reports_no_convergence(monkeypatch):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # The singlet's density matrix is checked once and stored, so the patched
+    # solver has to meet a density matrix built after the patch.
+    amplitudes = spin1_singlet().amplitudes
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NoConvergenceError):
-        density(spin1_singlet())
+        DensityMatrix(np.outer(amplitudes, amplitudes.conj()))
+
+
+def test_a_state_keeps_its_own_copy_of_the_amplitudes():
+    amplitudes = spin1_singlet().amplitudes.copy()
+    state = BipartiteState(local_dim=3, amplitudes=amplitudes)
+    rho = density(state).matrix.copy()
+    amplitudes[:] = np.eye(9)[0]
+    assert amplitudes.flags.writeable
+    assert np.array_equal(state.amplitudes, spin1_singlet().amplitudes)
+    assert np.array_equal(density(state).matrix, rho)
+
+
+def test_stored_states_density_matrices_and_named_rays_are_read_only():
+    from contextsim.observables import four_dim_contexts, ks_context, ks_context_prime
+
+    arrays = [density(spin1_singlet()).matrix, density(spin32_singlet()).matrix]
+    arrays += [spin1_singlet().amplitudes, spin32_singlet().amplitudes]
+    for context in (ks_context(1, 2, 3), ks_context_prime(1, 2, 3), *four_dim_contexts(1, 2, 3, 4)):
+        arrays += [context.rays.basis, context.rays.units]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_state_carries_one_density_matrix_and_the_singlets_are_shared():
+    state = BipartiteState(local_dim=3, amplitudes=spin1_singlet().amplitudes)
+    assert density(state) is density(state)
+    assert singlet(3) is spin1_singlet() and singlet(4) is spin32_singlet()
+    assert density(singlet(3)) is density(spin1_singlet())
