@@ -31,13 +31,10 @@ from .greechie import (
     GreechieDiagram,
     TwoValuedState,
     diagram_from_contexts,
-    diagram_from_dict,
     diagram_to_dict,
     is_separating,
     link_atoms,
-    load_diagram,
     rays_match,
-    save_diagram,
     two_valued_states,
 )
 from .linalg import (

@@ -271,7 +271,7 @@ def cmd_sample(args) -> dict:
     table = joint_distribution(state, a, b)
     _check_table(state, a, b, table, closed)
     shots = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
-    report = empirical_report(shots, table, seed=args.seed)
+    report = empirical_report(shots, table)
     if args.scenario != "custom":
         for i, j in get_scenario(args.scenario).forbidden_cells:
             if report.counts[i, j] != 0:
@@ -326,9 +326,7 @@ def cmd_states(args) -> dict:
         **diagram_to_dict(diagram),
         "link_atoms": link_atoms(diagram),
         "state_count": len(states),
-        "two_valued_states": [
-            {atom_id: s.assignment[atom_id] for atom_id in diagram.atom_ids()} for s in states
-        ],
+        "two_valued_states": [s.assignment for s in states],
         "separating": separating,
         "inseparable_pair": None if witness is None else list(witness),
     }

@@ -17,9 +17,8 @@ from .errors import (
     BadCellIndexError,
     DimensionMismatchError,
     NonNegligibleImaginaryPartError,
-    ZeroVectorError,
 )
-from .linalg import as_vector
+from .linalg import as_vector, unit_rows
 from .observables import ContextOperator
 from .states import BipartiteState, DensityMatrix
 from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, SUPPORT_THRESHOLD
@@ -30,7 +29,7 @@ class JointTable:
     """Joint outcome probabilities P[i, j] for one context pair on one state.
 
     Labels are (slot, eigenvalue) pairs. Probabilities below
-    ``NEGATIVE_FLOOR`` signal a broken projector and are rejected; tiny
+    ``NEGATIVE_FLOOR``, or NaN, signal a broken projector and are rejected; tiny
     negative roundoff is clamped to zero. The clamped table must sum to 1
     within ``NORMALIZATION_TOL``.
     """
@@ -38,19 +37,17 @@ class JointTable:
     left_labels: tuple[tuple[int, float], ...]
     right_labels: tuple[tuple[int, float], ...]
     probabilities: np.ndarray
-    state_tag: str = ""
-    left_context_tag: str = ""
-    right_context_tag: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 2 or p.shape != (len(self.left_labels), len(self.right_labels)):
             raise ValueError("probability matrix shape must match the outcome labels")
-        if float(p.min()) < NEGATIVE_FLOOR:
+        # "not p >= floor" rather than "p < floor": NaN fails the check.
+        if not p.min() >= NEGATIVE_FLOOR:
             raise ValueError(f"probability {p.min()} below {NEGATIVE_FLOOR}: broken projector")
         p = np.clip(p, 0.0, None)
         total = float(p.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probabilities", p)
 
@@ -150,9 +147,6 @@ def joint_distribution(
         left_labels=tuple(enumerate(a.spectrum)),
         right_labels=tuple(enumerate(b.spectrum)),
         probabilities=p,
-        state_tag=state.label,
-        left_context_tag=a.label,
-        right_context_tag=b.label,
     )
 
 
@@ -261,15 +255,12 @@ def sequential_link_test(
     measured in ``measured``; returns (eigenvalue, probability) per outcome
     slot. Preparing a ray the context shares yields probability one on it.
     """
-    ray = as_vector(prepared)
-    norm = float(np.linalg.norm(ray))
-    if norm == 0.0:
-        raise ZeroVectorError("prepared ray must be nonzero")
-    if ray.shape[0] != measured.dim:
+    unit = unit_rows(as_vector(prepared)[None, :])[0]
+    if unit.shape[0] != measured.dim:
         raise DimensionMismatchError(
-            f"prepared ray has dimension {ray.shape[0]}, context has {measured.dim}"
+            f"prepared ray has dimension {unit.shape[0]}, context has {measured.dim}"
         )
-    probabilities = np.abs(measured.units.conj() @ (ray / norm)) ** 2
+    probabilities = np.abs(measured.units.conj() @ unit) ** 2
     return tuple(zip(measured.spectrum, probabilities.tolist()))
 
 

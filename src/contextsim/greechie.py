@@ -8,7 +8,6 @@ classical truth assignment.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_vector
+from .linalg import as_vector, unit_rows
 from .observables import ContextOperator
 from .tolerances import RAY_MATCH_TOL
 
@@ -65,34 +64,29 @@ class TwoValuedState:
 
     assignment: dict[str, int]
 
-    def is_valid_for(self, diagram: GreechieDiagram) -> bool:
-        if set(self.assignment) != set(diagram.atom_ids()):
-            return False
-        if any(v not in (0, 1) for v in self.assignment.values()):
-            return False
-        return all(
-            sum(self.assignment[a] for a in block) == 1 for block in diagram.blocks
-        )
+
+def _overlap_match(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
+    """match[m, k]: unit row k of ``b_units`` spans the ray of unit row m of
+    ``a_units``, that is 1 - |conj(A) B^T|[m, k] <= ``RAY_MATCH_TOL``. The
+    one ray-match test of the package."""
+    return 1.0 - np.abs(a_units.conj() @ b_units.T) <= RAY_MATCH_TOL
 
 
 def rays_match(u: np.ndarray, v: np.ndarray) -> bool:
-    """True when u and v span the same ray: |<u,v>| equals |u||v| within
-    ``RAY_MATCH_TOL``."""
+    """True when u and v span the same ray (the test of :func:`_overlap_match`).
+    Rays of different lengths never match; a zero ray raises ZeroVectorError."""
     a = as_vector(u)
     b = as_vector(v)
     if a.shape != b.shape:
         return False
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return False
-    return 1.0 - abs(np.vdot(a, b)) / denom <= RAY_MATCH_TOL
+    return bool(_overlap_match(unit_rows(a[None, :]), unit_rows(b[None, :]))[0, 0])
 
 
 def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagram:
     """Build the orthogonality diagram of a list of contexts.
 
     One block per context; basis rays that coincide up to a complex phase
-    (within ``RAY_MATCH_TOL``, the test of :func:`rays_match`) are merged
+    (within ``RAY_MATCH_TOL``, the test of :func:`_overlap_match`) are merged
     into a single atom, which makes shared (link) observables explicit. Atom
     ids follow first appearance, scanning contexts in order and each basis
     in slot order; a ray that matches several atoms joins the first.
@@ -107,7 +101,7 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     blocks: list[tuple[str, ...]] = []
     for context in contexts:
         # match[m, k]: ray k of this context spans the ray of atom m.
-        match = 1.0 - np.abs(atom_units.conj() @ context.units.T) <= RAY_MATCH_TOL
+        match = _overlap_match(atom_units, context.units)
         block: list[str] = []
         for k, ray in enumerate(context.basis):
             hits = np.flatnonzero(match[:, k])
@@ -200,7 +194,8 @@ def is_separating(
 
 
 def diagram_to_dict(diagram: GreechieDiagram) -> dict:
-    """Exchange form: atoms carry optional rays as [re, im] pair lists."""
+    """The diagram as the ``states`` report prints it: atoms carry optional
+    rays as [re, im] pair lists."""
     return {
         "dim": diagram.dim,
         "atoms": [
@@ -214,30 +209,3 @@ def diagram_to_dict(diagram: GreechieDiagram) -> dict:
         ],
         "blocks": [list(block) for block in diagram.blocks],
     }
-
-
-def diagram_from_dict(data: dict) -> GreechieDiagram:
-    atoms = []
-    for entry in data["atoms"]:
-        ray = entry.get("ray")
-        atoms.append(
-            Atom(
-                id=str(entry["id"]),
-                ray=None
-                if ray is None
-                else np.array([complex(re, im) for re, im in ray], dtype=complex),
-            )
-        )
-    blocks = tuple(tuple(str(a) for a in block) for block in data["blocks"])
-    return GreechieDiagram(atoms=tuple(atoms), blocks=blocks, dim=int(data["dim"]))
-
-
-def save_diagram(diagram: GreechieDiagram, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(diagram_to_dict(diagram), handle, indent=2)
-        handle.write("\n")
-
-
-def load_diagram(path) -> GreechieDiagram:
-    with open(path, encoding="utf-8") as handle:
-        return diagram_from_dict(json.load(handle))

@@ -44,22 +44,19 @@ def is_unitary(a) -> bool:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) <= HERMITICITY_TOL
 
 
-def projector_from_ray(v) -> np.ndarray:
-    """Orthogonal projector onto the ray spanned by v (normalized first)."""
-    w = as_vector(v)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot project onto the zero vector")
-    unit = w / norm
-    return np.outer(unit, unit.conj())
-
-
 def unit_rows(m: np.ndarray) -> np.ndarray:
-    """The rows of ``m`` divided by their norms, as :func:`projector_from_ray` does."""
+    """The rows of ``m`` divided by their norms: the one normalization of a
+    ray and the one zero-ray check. Raises ZeroVectorError for a zero row."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if not np.all(norms > 0.0):
-        raise ZeroVectorError("cannot project onto the zero vector")
+        raise ZeroVectorError("cannot normalize the zero vector")
     return m / norms
+
+
+def projector_from_ray(v) -> np.ndarray:
+    """Orthogonal projector onto the ray spanned by v (normalized first)."""
+    unit = unit_rows(as_vector(v)[None, :])[0]
+    return np.outer(unit, unit.conj())
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonOrthonormalBasisError
-from .linalg import as_matrix, as_vector, projector_from_ray, unit_rows
+from .linalg import as_matrix, as_vector, unit_rows
 from .tolerances import BASIS_TOL, MERGE_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -175,10 +175,6 @@ class ContextOperator:
     @property
     def dim(self) -> int:
         return self.rays.dim
-
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Rank-1 outcome projectors, one per basis ray."""
-        return tuple(projector_from_ray(v) for v in self.basis)
 
 
 _S = 1.0 / math.sqrt(2.0)

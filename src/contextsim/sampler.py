@@ -33,7 +33,6 @@ class EmpiricalReport:
     frequencies: np.ndarray
     max_abs_deviation: float
     total_shots: int
-    seed: int | None = None
 
 
 def derive_batch_seed(seed: int, batch: int) -> int:
@@ -114,10 +113,13 @@ def sample(
 
 
 def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
-    """Row-major table cell of each shot; rejects slots outside the table."""
-    slots = np.asarray(shots, dtype=np.int64)
+    """Row-major table cell of each shot; rejects slots that are not
+    integers or lie outside the table."""
+    slots = np.asarray(shots)
     if slots.ndim != 2 or slots.shape[1] != 2:
         raise ShapeMismatchError(f"shots must form an (n, 2) slot array, not shape {slots.shape}")
+    if not np.issubdtype(slots.dtype, np.integer):
+        raise ShapeMismatchError(f"shot slots must be integers, not {slots.dtype}")
     try:
         return np.ravel_multi_index(slots.T, table.shape)
     except ValueError:
@@ -125,7 +127,7 @@ def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
         raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table") from None
 
 
-def empirical_report(shots: np.ndarray, table: JointTable, seed: int | None = None) -> EmpiricalReport:
+def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
     """Tally an (n, 2) shot stream and compare frequencies with the exact table."""
     n_left, n_right = table.shape
     counts = np.bincount(_cells(shots, table), minlength=n_left * n_right).reshape(n_left, n_right)
@@ -137,7 +139,6 @@ def empirical_report(shots: np.ndarray, table: JointTable, seed: int | None = No
         frequencies=frequencies,
         max_abs_deviation=deviation,
         total_shots=total,
-        seed=seed,
     )
 
 
@@ -164,7 +165,7 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
 
     Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue; CSV
     row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
-    written when a slot lies outside the table.
+    written when a slot is not an integer or lies outside the table.
 
     Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
     with no Python object per shot. A chunk is one uint8 matrix of

@@ -206,6 +206,27 @@ def test_sequential_non_link_ray(capsys):
     assert data["perfect_link_correlation"] is False
 
 
+def test_sequential_finds_the_link_ray_up_to_a_phase(tmp_path, capsys):
+    # The right basis holds the prepared ray (e1 + e2)/sqrt2 times e^{0.7i},
+    # in another slot; the named scenarios share their rays exactly.
+    s = 1.0 / np.sqrt(2.0)
+    phase = np.exp(0.7j)
+    left = np.array([[1, 0, 0], [0, s, s], [0, -s, s]], dtype=complex)
+    right = np.array([[0, s, -s], [1, 0, 0], [0, s * phase, s * phase]])
+    basis = write_basis_file(
+        tmp_path / "b.json",
+        {"left": [cli._ray_pairs(r) for r in left], "right": [cli._ray_pairs(r) for r in right]},
+    )
+    code, data = run_cli(
+        capsys, "sequential", "--scenario", "custom", "--basis-file", basis, "--prepare-slot", "1"
+    )
+    assert code == 0
+    assert data["link_slot"] == 2
+    assert data["perfect_link_correlation"] is True
+    probs = [entry["probability"] for entry in data["distribution"]]
+    assert probs == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+
+
 def test_sequential_standard_ray_through_diagonal_context(capsys):
     code, data = run_cli(
         capsys,

@@ -197,12 +197,15 @@ def test_joint_distribution_rejects_dimension_mismatch():
 
 def test_negative_probability_beyond_floor_is_rejected():
     labels = ((0, 1.0), (1, 2.0))
-    with pytest.raises(ValueError):
-        JointTable(
-            left_labels=labels,
-            right_labels=labels,
-            probabilities=np.array([[0.5, 0.5], [1e-6, -1e-6]]),
-        )
+    # A NaN cell is neither below the floor nor off the sum by more than the
+    # tolerance when the checks are written as "p < floor" and "|s - 1| > tol".
+    for probabilities in ([[0.5, 0.5], [1e-6, -1e-6]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            JointTable(
+                left_labels=labels,
+                right_labels=labels,
+                probabilities=np.array(probabilities),
+            )
 
 
 def test_uniqueness_of_collinear_tripods():

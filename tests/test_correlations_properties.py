@@ -73,7 +73,9 @@ def rescaled(rays, rng):
 def kronecker_table(state, a, b):
     """Oracle: P[i, j] = <state| P_a,i x P_b,j |state> with one Kronecker product per cell."""
     amp = state.amplitudes
-    return np.array([[np.vdot(amp, np.kron(pa, pb) @ amp).real for pb in b.projectors()] for pa in a.projectors()])
+    left = [projector_from_ray(ray) for ray in a.basis]
+    right = [projector_from_ray(ray) for ray in b.basis]
+    return np.array([[np.vdot(amp, np.kron(pa, pb) @ amp).real for pb in right] for pa in left])
 
 
 @SETTINGS

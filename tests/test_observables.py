@@ -299,5 +299,5 @@ def test_context_from_basis_rejects_a_zero_ray():
 
 def test_context_outcome_projectors_resolve_identity():
     for context in (ks_context(1, 2, 3), ks_context_prime(4, 5, 6), four_dim_contexts(1, 2, 3, 4).C_prime):
-        total = sum(context.projectors())
+        total = sum(projector_from_ray(ray) for ray in context.basis)
         assert np.max(np.abs(total - np.eye(context.dim))) <= 1e-9

@@ -53,7 +53,7 @@ def test_degenerate_table_always_draws_the_certain_cell():
 def test_forbidden_cells_never_drawn():
     table = mixed_table()
     records = sample(table, 100_000, seed=5)
-    report = empirical_report(records, table, seed=5)
+    report = empirical_report(records, table)
     for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
         assert report.counts[i, j] == 0
 
@@ -68,7 +68,7 @@ def test_single_shot_has_one_count():
 def test_large_run_frequencies_converge():
     table = mixed_table()
     n = 1_000_000
-    report = empirical_report(sample(table, n, seed=12345), table, seed=12345)
+    report = empirical_report(sample(table, n, seed=12345), table)
     assert report.total_shots == n
     # 10 sigma binomial bound with sigma <= 0.5/sqrt(n)
     assert report.max_abs_deviation < 5e-3
@@ -84,15 +84,16 @@ def test_deviation_shrinks_with_sample_size():
 def test_report_counts_match_frequencies():
     table = mixed_table()
     records = sample(table, 1000, seed=21)
-    report = empirical_report(records, table, seed=21)
+    report = empirical_report(records, table)
     assert report.counts.sum() == 1000
     assert np.allclose(report.frequencies, report.counts / 1000)
-    assert report.seed == 21
 
 
 def test_report_rejects_out_of_range_records():
-    with pytest.raises(ShapeMismatchError):
-        empirical_report(np.array([[5, 0]]), mixed_table())
+    # Float slots are refused, not truncated to the cells (0, 0) and (2, 1).
+    for shots in (np.array([[5, 0]]), np.array([[0.9, 0.2], [2.7, 1.5]])):
+        with pytest.raises(ShapeMismatchError):
+            empirical_report(shots, mixed_table())
 
 
 def test_batched_stream_is_deterministic_and_seed_dependent():

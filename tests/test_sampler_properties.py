@@ -191,9 +191,11 @@ def test_threshold_count_equals_a_clipped_searchsorted(cdf, data):
 
 def test_negative_right_slot_is_not_read_as_another_cell(tmp_path):
     # A flattened index would count [1, -1] on a 3x3 table as cell (0, 2).
+    # Float slots would be truncated to a cell, so they are refused too.
     table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
-    with pytest.raises(ShapeMismatchError):
-        empirical_report(np.array([[1, -1]]), table)
-    with pytest.raises(ShapeMismatchError):
-        write_shot_csv(np.array([[1, -1]]), table, tmp_path / "shots.csv")
-    assert not (tmp_path / "shots.csv").exists()
+    for shots in (np.array([[1, -1]]), np.array([[0.9, 0.2], [2.7, 1.5]])):
+        with pytest.raises(ShapeMismatchError):
+            empirical_report(shots, table)
+        with pytest.raises(ShapeMismatchError):
+            write_shot_csv(shots, table, tmp_path / "shots.csv")
+        assert not (tmp_path / "shots.csv").exists()
