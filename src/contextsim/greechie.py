@@ -4,10 +4,16 @@ A diagram is a hypergraph: atoms are rays, blocks are maximal contexts
 (orthonormal bases). Atoms shared between blocks are link atoms. A
 two-valued state assigns {0,1} to atoms with exactly one 1 per block, a
 classical truth assignment.
+
+A diagram and its states depend only on the contexts' rays, never on their
+eigenvalues, so each diagram is built once per tuple of ray sets and its
+states are enumerated once per diagram.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,8 +22,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import as_vector, unit_rows
-from .observables import ContextOperator
+from .observables import ContextOperator, RaySet
 from .tolerances import RAY_MATCH_TOL
+
+# How many diagrams diagram_from_contexts keeps, dropping the least recently
+# used. A custom basis is a new RaySet on every call, so the memo is bounded.
+_DIAGRAM_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +67,35 @@ class GreechieDiagram:
     def atom_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.atoms)
 
+    @functools.cached_property
+    def state_bits(self) -> np.ndarray:
+        """Every two-valued state as one read-only (states, atoms) uint8
+        matrix, rows in lexicographic order. Computed on first use and kept.
+
+        The frontier of partial states grows one block at a time: a row
+        whose block already holds one 1 is kept, a row with none gets one
+        copy per atom of the block that no earlier block holds, with that
+        atom set to 1, and a row with two or more 1s is dropped. Atoms in no
+        block double the rows. ``np.lexsort`` then restores the order.
+        """
+        index = {atom_id: k for k, atom_id in enumerate(self.atom_ids())}
+        n = len(index)
+        unit = np.eye(n, dtype=np.uint8)
+        rows = np.zeros((1, n), dtype=np.uint8)
+        placed = np.zeros(n, dtype=bool)
+        for block in self.blocks:
+            atoms = np.array([index[a] for a in block])
+            ones = rows[:, atoms].sum(axis=1)
+            grown = rows[ones == 0][:, None, :] | unit[atoms[~placed[atoms]]]
+            rows = np.concatenate([rows[ones == 1], grown.reshape(-1, n)])
+            placed[atoms] = True
+        for k in np.flatnonzero(~placed):
+            rows = np.concatenate([rows, rows | unit[k]])
+        if len(rows) > 1:
+            rows = rows[np.lexsort(rows.T[::-1])]
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class TwoValuedState:
@@ -90,29 +129,37 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     into a single atom, which makes shared (link) observables explicit. Atom
     ids follow first appearance, scanning contexts in order and each basis
     in slot order; a ray that matches several atoms joins the first.
+
+    The diagram depends only on the contexts' ray sets, so it is kept per
+    tuple of :class:`RaySet` objects (by identity) and the same object is
+    returned for the same ray sets at any spectra. Sharing it is safe: a ray
+    set holds read-only arrays and a diagram is immutable.
     """
     if not contexts:
         raise ValueError("need at least one context")
     dim = contexts[0].dim
     if any(c.dim != dim for c in contexts):
         raise DimensionMismatchError("all contexts must share one dimension")
-    atoms: list[Atom] = []
-    atom_units = np.empty((0, dim), dtype=complex)
-    blocks: list[tuple[str, ...]] = []
-    for context in contexts:
-        # match[m, k]: ray k of this context spans the ray of atom m.
-        match = _overlap_match(atom_units, context.units)
-        block: list[str] = []
-        for k, ray in enumerate(context.basis):
-            hits = np.flatnonzero(match[:, k])
-            if hits.size:
-                block.append(atoms[hits[0]].id)
-            else:
-                atoms.append(Atom(id=f"a{len(atoms)}", ray=ray))
-                block.append(atoms[-1].id)
-        atom_units = np.vstack([atom_units, context.units[~match.any(axis=0)]])
-        blocks.append(tuple(block))
-    return GreechieDiagram(atoms=tuple(atoms), blocks=tuple(blocks), dim=dim)
+    return _diagram(tuple(c.rays for c in contexts))
+
+
+@functools.lru_cache(maxsize=_DIAGRAM_MEMO_SIZE)
+def _diagram(ray_sets: tuple[RaySet, ...]) -> GreechieDiagram:
+    """The diagram of contexts with these ray sets, from one overlap matrix
+    of all their unit rows."""
+    dim = ray_sets[0].dim
+    units = np.vstack([r.units for r in ray_sets])
+    match = _overlap_match(units, units).tolist()
+    firsts: list[int] = []  # the ray that opened each atom
+    ids: list[str] = []
+    for k in range(len(match)):
+        atom = next((m for m, first in enumerate(firsts) if match[first][k]), len(firsts))
+        if atom == len(firsts):
+            firsts.append(k)
+        ids.append(f"a{atom}")
+    atoms = tuple(Atom(id=f"a{m}", ray=ray_sets[k // dim].basis[k % dim]) for m, k in enumerate(firsts))
+    blocks = tuple(tuple(ids[c * dim : (c + 1) * dim]) for c in range(len(ray_sets)))
+    return GreechieDiagram(atoms=atoms, blocks=blocks, dim=dim)
 
 
 def link_atoms(diagram: GreechieDiagram) -> list[str]:
@@ -127,54 +174,13 @@ def link_atoms(diagram: GreechieDiagram) -> list[str]:
 def two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
     """All {0,1} assignments with exactly one 1 per block, exhaustively.
 
-    Backtracking over atoms in diagram order with per-block counting: a
-    block may never hold two 1s, and once fully assigned must hold exactly
-    one. Output order is lexicographic in the assignment bits, so results
-    are deterministic. The empty list is a valid outcome.
+    One state per row of ``diagram.state_bits``, so the order is
+    lexicographic in the assignment bits and results are deterministic.
+    Each call returns new dicts, which a caller may change freely. The
+    empty list is a valid outcome.
     """
     ids = diagram.atom_ids()
-    index = {atom_id: k for k, atom_id in enumerate(ids)}
-    blocks = [tuple(index[a] for a in block) for block in diagram.blocks]
-    blocks_of_atom: list[list[int]] = [[] for _ in ids]
-    for b, block in enumerate(blocks):
-        for k in block:
-            blocks_of_atom[k].append(b)
-
-    ones = [0] * len(blocks)
-    unassigned = [len(block) for block in blocks]
-    assignment = [0] * len(ids)
-    found: list[TwoValuedState] = []
-
-    def assign(k: int) -> None:
-        if k == len(ids):
-            found.append(
-                TwoValuedState(assignment={ids[i]: assignment[i] for i in range(len(ids))})
-            )
-            return
-        for value in (0, 1):
-            ok = True
-            for b in blocks_of_atom[k]:
-                new_ones = ones[b] + value
-                if new_ones > 1:
-                    ok = False
-                    break
-                if unassigned[b] == 1 and new_ones == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[k] = value
-            for b in blocks_of_atom[k]:
-                ones[b] += value
-                unassigned[b] -= 1
-            assign(k + 1)
-            for b in blocks_of_atom[k]:
-                ones[b] -= value
-                unassigned[b] += 1
-        assignment[k] = 0
-
-    assign(0)
-    return found
+    return [TwoValuedState(assignment=dict(zip(ids, row))) for row in diagram.state_bits.tolist()]
 
 
 def is_separating(
@@ -183,14 +189,25 @@ def is_separating(
     """Whether every atom pair is told apart by some state.
 
     Returns (True, None) when separating, otherwise (False, pair) with the
-    first atom pair (in atom order) that no state distinguishes.
+    first atom pair (in atom order) that no state distinguishes. Two atoms
+    are told apart exactly when their columns in the (states, atoms) bit
+    matrix of ``states`` differ, so the pair is the lexicographically first
+    pair of equal columns. With no states every column is equal.
     """
     ids = diagram.atom_ids()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if not any(s.assignment[ids[i]] != s.assignment[ids[j]] for s in states):
-                return False, (ids[i], ids[j])
-    return True, None
+    if len(ids) < 2:
+        return True, None
+    get = operator.itemgetter(*ids)
+    n = len(states)
+    bits = np.array([get(s.assignment) for s in states], dtype=np.uint8).reshape(n, len(ids))
+    # Column j of the bit matrix is raw[j * n : (j + 1) * n].
+    raw = bits.T.tobytes()
+    first: dict[bytes, int] = {}
+    pairs = [(first.setdefault(raw[j * n : (j + 1) * n], j), j) for j in range(len(ids))]
+    witness = min((pair for pair in pairs if pair[0] != pair[1]), default=None)
+    if witness is None:
+        return True, None
+    return False, (ids[witness[0]], ids[witness[1]])
 
 
 def diagram_to_dict(diagram: GreechieDiagram) -> dict:

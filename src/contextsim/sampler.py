@@ -23,6 +23,8 @@ _CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
 # followed by the same zero-padded low digits. The chunk size bounds the
 # memory of one rendering; the bytes written do not depend on it.
 _CSV_CHUNK_DIGITS = 5
+# Uniforms drawn per block: 512 KiB of float64, small enough for the cache.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +67,18 @@ def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _draw(cells: np.ndarray, cdf: np.ndarray, seed: int, out: np.ndarray) -> None:
     """Fill the (m, 2) slice ``out`` with inverse-CDF draws over the kept
     ``cells`` (a C-contiguous (k, 2) slot array with cumulative
-    probabilities ``cdf``)."""
-    u = np.random.Generator(np.random.PCG64(seed)).random(len(out))
-    # _cdf_index returns indices below k, so "clip" never moves one; it spares
-    # the buffered copy of ``out`` that the default "raise" mode makes.
-    np.take(cells, _cdf_index(cdf, u), axis=0, out=out, mode="clip")
+    probabilities ``cdf``).
+
+    The uniforms come from one generator, ``_DRAW_BLOCK`` at a time, so each
+    threshold pass of :func:`_cdf_index` runs over a block that stays in
+    cache. Consecutive ``random`` calls continue one stream, so the shots do
+    not depend on the block size."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start in range(0, len(out), _DRAW_BLOCK):
+        block = out[start : start + _DRAW_BLOCK]
+        # _cdf_index returns indices below k, so "clip" never moves one; it
+        # spares the buffered copy of ``block`` that the default "raise" mode makes.
+        np.take(cells, _cdf_index(cdf, rng.random(len(block))), axis=0, out=block, mode="clip")
 
 
 def sample(

@@ -26,6 +26,10 @@ from contextsim.scenarios import SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden"
 BASIS_FILE = GOLDEN / "custom-d3-basis.json"
+# Cabello, Estebaranz and Garcia-Alcaine's 18-ray, 9-context Kochen-Specker
+# set in d = 4 (Phys. Lett. A 212, 183 (1996)), rays normalized: its diagram
+# has no two-valued state.
+KS18_FILE = GOLDEN / "custom-ks18-basis.json"
 COMMANDS = ("expectation", "joint", "sample", "states", "sequential")
 SPECTRA = {
     3: ["--left=-1.5,0.25,7", "--right=2,-3,0.5"],
@@ -43,6 +47,7 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"{command}-{name}-spectra"] = [command, "--scenario", name, *SPECTRA[scenario.dim]]
         cases[f"{command}-custom-d3"] = [command, "--scenario", "custom", "--basis-file", str(BASIS_FILE)]
     cases["joint-custom-d3"] += ["--forbidden", "0,1;1,0"]
+    cases["states-custom-ks18"] = ["states", "--scenario", "custom", "--basis-file", str(KS18_FILE)]
     for argv in cases.values():
         if argv[0] == "sample":
             argv += ["--csv", "{tmp}/shots.csv"]

@@ -1,17 +1,21 @@
 """Tests for orthogonality diagrams and two-valued-state enumeration."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextsim import greechie
 from contextsim.errors import DimensionMismatchError, ZeroVectorError
 from contextsim.greechie import (
     Atom,
     GreechieDiagram,
+    TwoValuedState,
     diagram_from_contexts,
     diagram_to_dict,
     is_separating,
@@ -20,6 +24,8 @@ from contextsim.greechie import (
     two_valued_states,
 )
 from contextsim.observables import context_from_basis, four_dim_contexts, ks_context, ks_context_prime
+
+KS18_FILE = Path(__file__).parent / "golden" / "custom-ks18-basis.json"
 
 
 def brute_force_states(diagram):
@@ -31,6 +37,71 @@ def brute_force_states(diagram):
         if all(sum(assignment[a] for a in block) == 1 for block in diagram.blocks):
             found.append(assignment)
     return found
+
+
+def backtracking_states(diagram):
+    """Oracle: backtracking over atoms in diagram order with per-block
+    counting. A block may never hold two 1s, and once fully assigned must
+    hold exactly one; trying 0 before 1 gives lexicographic order."""
+    ids = diagram.atom_ids()
+    index = {atom_id: k for k, atom_id in enumerate(ids)}
+    blocks = [tuple(index[a] for a in block) for block in diagram.blocks]
+    blocks_of_atom = [[] for _ in ids]
+    for b, block in enumerate(blocks):
+        for k in block:
+            blocks_of_atom[k].append(b)
+    ones = [0] * len(blocks)
+    unassigned = [len(block) for block in blocks]
+    assignment = [0] * len(ids)
+    found = []
+
+    def assign(k):
+        if k == len(ids):
+            found.append(dict(zip(ids, assignment)))
+            return
+        for value in (0, 1):
+            if any(
+                ones[b] + value > 1 or (unassigned[b] == 1 and ones[b] + value == 0)
+                for b in blocks_of_atom[k]
+            ):
+                continue
+            assignment[k] = value
+            for b in blocks_of_atom[k]:
+                ones[b] += value
+                unassigned[b] -= 1
+            assign(k + 1)
+            for b in blocks_of_atom[k]:
+                ones[b] -= value
+                unassigned[b] += 1
+        assignment[k] = 0
+
+    assign(0)
+    return found
+
+
+def pairwise_scan_witness(states, diagram):
+    """Oracle: the first atom pair, scanning pairs in atom order, that no
+    state tells apart, or None."""
+    for x, y in itertools.combinations(diagram.atom_ids(), 2):
+        if not any(s.assignment[x] != s.assignment[y] for s in states):
+            return x, y
+    return None
+
+
+def chain_diagram(length):
+    """``length`` four-atom blocks, each sharing its last atom with the
+    first atom of the next."""
+    atoms = tuple(Atom(id=f"a{k}") for k in range(3 * length + 1))
+    blocks = tuple(tuple(f"a{3 * b + k}" for k in range(4)) for b in range(length))
+    return GreechieDiagram(atoms=atoms, blocks=blocks, dim=4)
+
+
+def ks18_diagram():
+    """The diagram of Cabello, Estebaranz and Garcia-Alcaine's 18 rays."""
+    bases = json.loads(KS18_FILE.read_text(encoding="utf-8"))["contexts"]
+    return diagram_from_contexts(
+        [context_from_basis([[complex(*z) for z in ray] for ray in basis], (1, 2, 3, 4)) for basis in bases]
+    )
 
 
 def first_match_oracle(contexts):
@@ -203,7 +274,35 @@ def test_enumeration_matches_brute_force_on_random_small_diagrams(data):
     blocks = tuple(data.draw(st.lists(block, min_size=1, max_size=5)))
     diagram = GreechieDiagram(atoms=tuple(Atom(id=i) for i in ids), blocks=blocks, dim=dim)
     states = two_valued_states(diagram)
-    assert [s.assignment for s in states] == brute_force_states(diagram)
+    assert [s.assignment for s in states] == brute_force_states(diagram) == backtracking_states(diagram)
+
+
+@pytest.mark.parametrize("length", [6, 10])
+def test_bit_matrix_matches_backtracking_on_chains_of_blocks(length):
+    diagram = chain_diagram(length)
+    states = two_valued_states(diagram)
+    assert [s.assignment for s in states] == backtracking_states(diagram)
+
+
+def test_bit_matrix_counts_the_states_of_a_chain_of_fourteen_blocks():
+    diagram = chain_diagram(14)
+    bits = diagram.state_bits
+    assert bits.shape == (390_050, 43)
+    for block in diagram.blocks:
+        assert np.all(bits[:, [int(a[1:]) for a in block]].sum(axis=1) == 1)
+    # Each row's bits, first atom most significant, as one integer: strictly
+    # increasing keys mean distinct rows in lexicographic order.
+    keys = np.pad(np.packbits(bits, axis=1), ((0, 0), (0, 2))).view(">u8").ravel()
+    assert np.all(keys[1:] > keys[:-1])
+
+
+def test_eighteen_ray_kochen_specker_set_has_no_two_valued_state():
+    diagram = ks18_diagram()
+    assert (len(diagram.atoms), len(diagram.blocks), len(link_atoms(diagram))) == (18, 9, 18)
+    assert backtracking_states(diagram) == []
+    assert two_valued_states(diagram) == []
+    assert diagram.state_bits.shape == (0, 18)
+    assert is_separating([], diagram) == (False, ("a0", "a1"))
 
 
 def test_unsatisfiable_diagram_yields_no_states():
@@ -223,10 +322,58 @@ def test_named_diagrams_are_separating():
         states = two_valued_states(diagram)
         separating, witness = is_separating(states, diagram)
         assert separating and witness is None
-        # oracle: pairwise scan
-        ids = diagram.atom_ids()
-        for x, y in itertools.combinations(ids, 2):
-            assert any(s.assignment[x] != s.assignment[y] for s in states)
+        assert pairwise_scan_witness(states, diagram) is None
+
+
+def test_separation_witness_is_the_first_pair_of_equal_columns():
+    # Columns X, Y, Y, X: scanning columns for a repeat meets (a1, a2)
+    # first, but the first pair in atom order is (a0, a3).
+    diagram = GreechieDiagram(atoms=tuple(Atom(id=f"a{k}") for k in range(4)), blocks=(), dim=4)
+    states = [TwoValuedState(dict(zip(diagram.atom_ids(), bits))) for bits in ((0, 1, 1, 0), (1, 0, 0, 1))]
+    assert pairwise_scan_witness(states, diagram) == ("a0", "a3")
+    assert is_separating(states, diagram) == (False, ("a0", "a3"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.lists(st.integers(0, 1), min_size=6, max_size=6), max_size=6))
+def test_separation_matches_the_pairwise_scan(n_atoms, rows):
+    diagram = GreechieDiagram(atoms=tuple(Atom(id=f"a{k}") for k in range(n_atoms)), blocks=(), dim=3)
+    states = [TwoValuedState(dict(zip(diagram.atom_ids(), row))) for row in rows]
+    witness = pairwise_scan_witness(states, diagram)
+    assert is_separating(states, diagram) == (witness is None, witness)
+
+
+def test_named_rays_share_one_diagram_across_spectra():
+    first = diagram_from_contexts([ks_context(1, 2, 3), ks_context_prime(4, 5, 6)])
+    second = diagram_from_contexts([ks_context(-7, 0.5, 9), ks_context_prime(2, 1, 3)])
+    assert second is first
+    assert diagram_from_contexts([ks_context_prime(4, 5, 6), ks_context(1, 2, 3)]) is not first
+
+
+def test_each_call_returns_fresh_state_dicts():
+    diagram = tripod_diagram()
+    first = two_valued_states(diagram)
+    first[0].assignment["a0"] = 7
+    second = two_valued_states(diagram)
+    assert second[0].assignment["a0"] == 0
+    assert second[0].assignment is not first[0].assignment
+
+
+def test_state_bit_matrix_is_read_only():
+    bits = tripod_diagram().state_bits
+    assert bits.dtype == np.uint8 and not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1
+
+
+def test_diagram_memo_stays_within_its_bound_over_custom_bases():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        diagram_from_contexts(
+            [context_from_basis(list(random_unitary(rng, 3).T), (1, 2, 3)) for _ in range(2)]
+        )
+    info = greechie._diagram.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_diagram_dict_form_keeps_rays_as_real_imag_pairs():

@@ -39,6 +39,14 @@ def test_same_seed_reproduces_the_stream():
     assert np.array_equal(sample(table, 500, seed=99), sample(table, 500, seed=99))
 
 
+@pytest.mark.parametrize("batches", [1, 3])
+def test_draw_block_size_leaves_the_stream_unchanged(monkeypatch, batches):
+    table = mixed_table()
+    whole = sample(table, 1000, seed=5, batches=batches)
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 7)
+    assert np.array_equal(sample(table, 1000, seed=5, batches=batches), whole)
+
+
 def test_different_seeds_differ():
     table = mixed_table()
     assert not np.array_equal(sample(table, 500, seed=1), sample(table, 500, seed=2))
