@@ -34,7 +34,7 @@ from .greechie import diagram_from_contexts, diagram_to_dict, is_separating, lin
 from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
 from .scenarios import SCENARIOS, Scenario, get_scenario
-from .states import BipartiteState, density, singlet
+from .states import density, singlet
 from .tolerances import CLOSED_FORM_TOL, SUPPORT_THRESHOLD
 
 DEFAULT_SEED = 42
@@ -102,56 +102,59 @@ def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _parse_basis(entries) -> list[np.ndarray]:
+    """The rays of one custom basis: 3 or 4 lists of [re, im] pairs."""
     try:
-        return [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
+        rays = [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
     except (TypeError, ValueError):
         raise ValueError("a basis must be a list of rays, each a list of [re, im] number pairs") from None
+    if len(rays) not in (3, 4):
+        raise ValueError(f"custom contexts must have dimension 3 or 4, not {len(rays)}")
+    return rays
 
 
 def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _load_basis_file(path: str | None) -> dict:
-    if not path:
+def _basis_context(entries, spectrum: str | None, first: int, label: str) -> ContextOperator:
+    """A custom basis's context at ``spectrum`` (default: first, first + 1, ...)."""
+    rays = _parse_basis(entries)
+    default = tuple(float(k) for k in range(first, first + len(rays)))
+    return context_from_basis(rays, default if spectrum is None else _parse_spectrum(spectrum), label=label)
+
+
+def _contexts(args) -> tuple[list[ContextOperator], Scenario | None]:
+    """The contexts the flags name, and their scenario (None for 'custom').
+
+    A named scenario gives its pair at --left/--right (default: its own
+    spectra). A basis file gives its 'left'/'right' pair at --left/--right
+    (default: 1..d and d+1..2d) or, for ``states`` only, every basis of its
+    'contexts' list at 1..d, where --left and --right are an error.
+    """
+    if args.scenario != "custom":
+        scenario = get_scenario(args.scenario)
+        left = scenario.default_left if args.left is None else _parse_spectrum(args.left)
+        right = scenario.default_right if args.right is None else _parse_spectrum(args.right)
+        return list(scenario.contexts(left, right)), scenario
+    if not args.basis_file:
         raise ValueError("scenario 'custom' requires --basis-file")
-    with open(path, encoding="utf-8") as handle:
+    with open(args.basis_file, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("basis file must hold a JSON object")
-    return data
-
-
-def _custom_pair(args, data: dict) -> tuple[BipartiteState, ContextOperator, ContextOperator, None]:
+    if args.command == "states" and "contexts" in data:
+        if args.left is not None or args.right is not None:
+            raise ValueError("--left and --right set a pair's spectra; a 'contexts' basis file has no pair")
+        if not isinstance(data["contexts"], list):
+            raise ValueError("'contexts' must be a list of bases")
+        return [_basis_context(basis, None, 1, f"custom-{k}") for k, basis in enumerate(data["contexts"])], None
     if "left" not in data or "right" not in data:
         raise ValueError("basis file must define 'left' and 'right' bases")
-    left_basis = _parse_basis(data["left"])
-    right_basis = _parse_basis(data["right"])
-    dim = len(left_basis)
-    if len(right_basis) != dim:
-        raise ValueError(f"left basis has {dim} rays but right basis has {len(right_basis)}")
-    left = _parse_spectrum(args.left) if args.left else tuple(float(k) for k in range(1, dim + 1))
-    right = _parse_spectrum(args.right) if args.right else tuple(float(k) for k in range(dim + 1, 2 * dim + 1))
-    a = context_from_basis(left_basis, left, label="custom-left")
-    b = context_from_basis(right_basis, right, label="custom-right")
-    return singlet(a.dim), a, b, None
-
-
-def _named_pair(
-    scenario: Scenario, args
-) -> tuple[BipartiteState, ContextOperator, ContextOperator, float]:
-    left = _parse_spectrum(args.left) if args.left else scenario.default_left
-    right = _parse_spectrum(args.right) if args.right else scenario.default_right
-    if len(left) != scenario.dim or len(right) != scenario.dim:
-        raise ValueError(f"scenario {scenario.name!r} needs spectra of length {scenario.dim}")
-    a, b = scenario.contexts(left, right)
-    return scenario.state(), a, b, scenario.closed_form(left, right)
-
-
-def _build_pair(args):
-    if args.scenario == "custom":
-        return _custom_pair(args, _load_basis_file(args.basis_file))
-    return _named_pair(get_scenario(args.scenario), args)
+    a = _basis_context(data["left"], args.left, 1, "custom-left")
+    b = _basis_context(data["right"], args.right, a.dim + 1, "custom-right")
+    if b.dim != a.dim:
+        raise ValueError(f"left basis has {a.dim} rays but right basis has {b.dim}")
+    return [a, b], None
 
 
 def _table_payload(state, a, b, table: JointTable) -> dict:
@@ -170,46 +173,40 @@ def _table_payload(state, a, b, table: JointTable) -> dict:
     }
 
 
-def _expectation_tol(a: ContextOperator, b: ContextOperator, *values: float | None) -> float:
-    """CLOSED_FORM_TOL relative to the spectrum scale max(1, max|λ|·max|μ|).
+def _checked_expectation(
+    state, a, b, scenario: Scenario | None, table: JointTable | None = None
+) -> tuple[float, float | None]:
+    """The expectation of the pair on ``state``, and the scenario's closed
+    form (None for custom), cross-checked.
 
-    Raises ValueError when that scale or one of the expectation ``values``
-    (None entries are skipped) overflowed to inf or nan.
+    Raises ConsistencyFailure when the contraction of ``table`` (when one is
+    given; it checked its own normalization when it was built) or the closed
+    form misses the expectation by more than CLOSED_FORM_TOL relative to the
+    spectrum scale max(1, max|λ|·max|μ|), and ValueError when that scale or
+    one of the values overflowed to inf or nan.
     """
-    scale = expectation_scale(a, b)
-    if not all(math.isfinite(x) for x in (scale, *values) if x is not None):
-        raise ValueError("eigenvalue products overflow double precision")
-    return CLOSED_FORM_TOL * scale
-
-
-def _check_closed_form(a: ContextOperator, b: ContextOperator, value: float, closed: float | None) -> None:
-    """Reject ``value`` when it misses the closed form ``closed`` (None for
-    none) by more than :func:`_expectation_tol`, or when either overflowed."""
-    tol = _expectation_tol(a, b, value, closed)
-    if closed is not None and abs(value - closed) > tol:
-        raise ConsistencyFailure(f"numeric expectation {value} deviates from closed form {closed}")
-
-
-def _check_table(state, a, b, table: JointTable, closed: float | None) -> float:
-    """Cross-check the table contraction and, when there is one, the closed
-    form against the expectation; returns the expectation. (The table checked
-    its own normalization when it was built.)"""
     exact = expectation(density(state), a, b)
-    lam = np.array([v for _, v in table.left_labels])
-    mu = np.array([v for _, v in table.right_labels])
-    contracted = float(lam @ table.probabilities @ mu)
-    if abs(contracted - exact) > _expectation_tol(a, b, exact, contracted):
-        raise ConsistencyFailure(
-            f"table contraction {contracted} disagrees with expectation {exact}"
-        )
-    _check_closed_form(a, b, exact, closed)
-    return exact
+    closed = None if scenario is None else scenario.closed_form(a.spectrum, b.spectrum)
+    contracted = None
+    if table is not None:
+        lam = np.array([v for _, v in table.left_labels])
+        mu = np.array([v for _, v in table.right_labels])
+        contracted = float(lam @ table.probabilities @ mu)
+    scale = expectation_scale(a, b)
+    if not all(math.isfinite(x) for x in (scale, exact, closed, contracted) if x is not None):
+        raise ValueError("eigenvalue products overflow double precision")
+    tol = CLOSED_FORM_TOL * scale
+    if contracted is not None and abs(contracted - exact) > tol:
+        raise ConsistencyFailure(f"table contraction {contracted} disagrees with expectation {exact}")
+    if closed is not None and abs(exact - closed) > tol:
+        raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
+    return exact, closed
 
 
 def cmd_expectation(args) -> dict:
-    state, a, b, closed = _build_pair(args)
-    value = expectation(density(state), a, b)
-    payload = {
+    (a, b), scenario = _contexts(args)
+    value, closed = _checked_expectation(singlet(a.dim), a, b, scenario)
+    return {
         "command": "expectation",
         "scenario": args.scenario,
         "left_spectrum": list(a.spectrum),
@@ -218,27 +215,19 @@ def cmd_expectation(args) -> dict:
         "closed_form": closed,
         "abs_difference": None if closed is None else abs(value - closed),
     }
-    _check_closed_form(a, b, value, closed)
-    return payload
-
-
-def _forbidden_for(args) -> tuple[tuple[int, int], ...]:
-    if args.scenario == "custom":
-        if not args.forbidden:
-            raise ValueError("scenario 'custom' requires an explicit --forbidden list")
-        return _parse_forbidden(args.forbidden)
-    if args.forbidden:
-        return _parse_forbidden(args.forbidden)
-    return get_scenario(args.scenario).forbidden_cells
 
 
 def cmd_joint(args) -> dict:
-    state, a, b, closed = _build_pair(args)
+    (a, b), scenario = _contexts(args)
+    state = singlet(a.dim)
     table = joint_distribution(state, a, b)
-    exact = _check_table(state, a, b, table, closed)
+    exact, closed = _checked_expectation(state, a, b, scenario, table)
     uniqueness = verify_uniqueness(table, tol=args.tol)
-    criterion = contextuality_criterion(table, _forbidden_for(args))
-    payload = {
+    if scenario is None and not args.forbidden:
+        raise ValueError("scenario 'custom' requires an explicit --forbidden list")
+    forbidden = _parse_forbidden(args.forbidden) if args.forbidden else scenario.forbidden_cells
+    criterion = contextuality_criterion(table, forbidden)
+    return {
         "command": "joint",
         "scenario": args.scenario,
         **_table_payload(state, a, b, table),
@@ -263,19 +252,18 @@ def cmd_joint(args) -> dict:
             "contextual_mass": criterion.contextual_mass,
         },
     }
-    return payload
 
 
 def cmd_sample(args) -> dict:
-    state, a, b, closed = _build_pair(args)
+    (a, b), scenario = _contexts(args)
+    state = singlet(a.dim)
     table = joint_distribution(state, a, b)
-    _check_table(state, a, b, table, closed)
+    _checked_expectation(state, a, b, scenario, table)
     shots = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
     report = empirical_report(shots, table)
-    if args.scenario != "custom":
-        for i, j in get_scenario(args.scenario).forbidden_cells:
-            if report.counts[i, j] != 0:
-                raise ConsistencyFailure(f"forbidden cell ({i}, {j}) drew {report.counts[i, j]} shots")
+    for i, j in () if scenario is None else scenario.forbidden_cells:
+        if report.counts[i, j] != 0:
+            raise ConsistencyFailure(f"forbidden cell ({i}, {j}) drew {report.counts[i, j]} shots")
     csv_path = _csv_path(args)
     write_shot_csv(shots, table, csv_path)
     return {
@@ -292,35 +280,12 @@ def cmd_sample(args) -> dict:
     }
 
 
-def _contexts_for_states(args) -> list[ContextOperator]:
-    if args.scenario == "custom":
-        data = _load_basis_file(args.basis_file)
-        if "contexts" in data:
-            if not isinstance(data["contexts"], list):
-                raise ValueError("'contexts' must be a list of bases")
-            contexts = []
-            for k, basis in enumerate(data["contexts"]):
-                rays = _parse_basis(basis)
-                if len(rays) not in (3, 4):
-                    raise ValueError(f"custom contexts must have dimension 3 or 4, not {len(rays)}")
-                spectrum = tuple(float(x) for x in range(1, len(rays) + 1))
-                contexts.append(context_from_basis(rays, spectrum, label=f"custom-{k}"))
-            if not contexts:
-                raise ValueError("basis file lists no contexts")
-            return contexts
-        _, a, b, _ = _custom_pair(args, data)
-        return [a, b]
-    scenario = get_scenario(args.scenario)
-    a, b = scenario.contexts(scenario.default_left, scenario.default_right)
-    return [a, b]
-
-
 def cmd_states(args) -> dict:
-    contexts = _contexts_for_states(args)
+    contexts, _ = _contexts(args)
     diagram = diagram_from_contexts(contexts)
     states = two_valued_states(diagram)
     separating, witness = is_separating(states, diagram)
-    payload = {
+    return {
         "command": "states",
         "scenario": args.scenario,
         **diagram_to_dict(diagram),
@@ -330,11 +295,10 @@ def cmd_states(args) -> dict:
         "separating": separating,
         "inseparable_pair": None if witness is None else list(witness),
     }
-    return payload
 
 
 def cmd_sequential(args) -> dict:
-    state, a, b, closed = _build_pair(args)
+    (a, b), _ = _contexts(args)
     if not (0 <= args.prepare_slot < a.dim):
         raise ValueError(f"--prepare-slot must be in [0, {a.dim})")
     prepared = a.basis[args.prepare_slot]

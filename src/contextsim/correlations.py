@@ -28,10 +28,11 @@ from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, SUPPORT_THR
 class JointTable:
     """Joint outcome probabilities P[i, j] for one context pair on one state.
 
-    Labels are (slot, eigenvalue) pairs. Probabilities below
-    ``NEGATIVE_FLOOR``, or NaN, signal a broken projector and are rejected; tiny
-    negative roundoff is clamped to zero. The clamped table must sum to 1
-    within ``NORMALIZATION_TOL``.
+    Labels are (slot, eigenvalue) pairs whose slots are the row (column)
+    indices 0, 1, ..., n-1 in order. Probabilities below ``NEGATIVE_FLOOR``,
+    or NaN, signal a broken projector and are rejected; tiny negative
+    roundoff is clamped to zero. The clamped table must sum to 1 within
+    ``NORMALIZATION_TOL``.
     """
 
     left_labels: tuple[tuple[int, float], ...]
@@ -42,6 +43,9 @@ class JointTable:
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 2 or p.shape != (len(self.left_labels), len(self.right_labels)):
             raise ValueError("probability matrix shape must match the outcome labels")
+        for labels in (self.left_labels, self.right_labels):
+            if [slot for slot, _ in labels] != list(range(len(labels))):
+                raise ValueError("outcome slots must be 0, 1, ..., n-1 in order")
         # "not p >= floor" rather than "p < floor": NaN fails the check.
         if not p.min() >= NEGATIVE_FLOOR:
             raise ValueError(f"probability {p.min()} below {NEGATIVE_FLOOR}: broken projector")

@@ -30,6 +30,9 @@ class Scenario:
     _closed_form: Callable[[Spectrum, Spectrum], float]
 
     def contexts(self, left: Spectrum, right: Spectrum) -> tuple[ContextOperator, ContextOperator]:
+        """The pair at these spectra, each of length ``dim``."""
+        if len(left) != self.dim or len(right) != self.dim:
+            raise ValueError(f"scenario {self.name!r} needs spectra of length {self.dim}")
         return self._left_builder(*left), self._right_builder(*right)
 
     def state(self) -> BipartiteState:

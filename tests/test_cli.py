@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from contextsim import cli
+from contextsim.scenarios import SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +291,47 @@ def test_degenerate_spectrum_exits_with_validation_failure(capsys):
 def test_wrong_spectrum_length_exits_with_validation_failure(capsys):
     code, _ = run_cli(capsys, "joint", "--scenario", "dim4-mixed", "--left", "1,2,3")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--left=abc", "--left=1,2", "--right=4,5,6,7"])
+def test_states_checks_the_spectra_of_a_named_pair(capsys, flag):
+    assert_one_line_validation_failure(capsys, "states", "--scenario", "ks-mixed", flag)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_states_report_is_the_same_at_any_valid_spectra(capsys, name):
+    # The diagram depends on the rays only, so --left/--right are checked but change no byte.
+    flags = {3: ["--left=-1.5,0.25,7", "--right=2,-3,0.5"], 4: ["--left=0.5,-2,3.25,9", "--right=-1,4,2.5,-7.75"]}
+    assert cli.main(["states", "--scenario", name]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["states", "--scenario", name, *flags[SCENARIOS[name].dim]]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("flag", ["--left=1,2,3", "--right=4,5,6"])
+def test_states_rejects_spectra_with_a_contexts_file(tmp_path, capsys, flag):
+    basis = write_basis_file(tmp_path / "ctx.json", {"contexts": [BASIS_3, BASIS_3]})
+    assert cli.main(["states", "--scenario", "custom", "--basis-file", basis, flag]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --left and --right set a pair's spectra; a 'contexts' basis file has no pair"
+    ]
+
+
+@pytest.mark.parametrize("command", ["expectation", "states"])
+@pytest.mark.parametrize("flag", ["--left=", "--right="])
+def test_an_empty_spectrum_is_rejected_not_read_as_the_default(tmp_path, capsys, command, flag):
+    basis = write_basis_file(tmp_path / "b.json", {"left": BASIS_3, "right": BASIS_3})
+    for target in (["ks-mixed"], ["custom", "--basis-file", basis]):
+        assert cli.main([command, "--scenario", *target, flag]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: cannot parse spectrum ''; expected comma-separated reals"
+        ]
+
+
+def test_states_rejects_an_empty_contexts_list(tmp_path, capsys):
+    basis = write_basis_file(tmp_path / "ctx.json", {"contexts": []})
+    assert cli.main(["states", "--scenario", "custom", "--basis-file", basis]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: need at least one context"]
 
 
 def test_unknown_scenario_exits_with_validation_failure():

@@ -163,9 +163,8 @@ def near_degenerate_spectra(draw, d):
     return ",".join(map(repr, draw(st.permutations(values))))
 
 
-# states builds named contexts at their default spectra and ignores --left/--right.
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([c for c in COMMANDS if c != "states"]), st.sampled_from(sorted(SCENARIOS)), st.data())
+@given(st.sampled_from(COMMANDS), st.sampled_from(sorted(SCENARIOS)), st.data())
 def test_near_degenerate_spectra_exit_1_at_any_scale(command, scenario, data):
     spectrum = data.draw(near_degenerate_spectra(SCENARIOS[scenario].dim))
     side = data.draw(st.sampled_from(("--left", "--right")))

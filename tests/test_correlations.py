@@ -208,6 +208,20 @@ def test_negative_probability_beyond_floor_is_rejected():
             )
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [((1, 0.0), (2, 1.0)), ((1, 0.0), (0, 1.0)), ((0, 0.0), (0, 1.0))],
+)
+def test_slots_other_than_0_to_n_minus_1_are_rejected(labels):
+    # The shots index rows and columns by slot; a table whose labels name
+    # other slots could not be written out as shot records.
+    good = ((0, 0.0), (1, 1.0))
+    p = np.array([[0.5, 0.0], [0.0, 0.5]])
+    for left, right in ((labels, good), (good, labels)):
+        with pytest.raises(ValueError, match="outcome slots must be 0, 1, ..., n-1 in order"):
+            JointTable(left_labels=left, right_labels=right, probabilities=p)
+
+
 def test_uniqueness_of_collinear_tripods():
     table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context(4, 5, 6))
     report = verify_uniqueness(table)

@@ -42,7 +42,7 @@ def _cases() -> dict[str, list[str]]:
     for command in COMMANDS:
         for name, scenario in SCENARIOS.items():
             cases[f"{command}-{name}"] = [command, "--scenario", name]
-            # states builds named contexts at their default spectra only
+            # states prints the same bytes at any valid spectra (test_cli.py checks this)
             if command != "states":
                 cases[f"{command}-{name}-spectra"] = [command, "--scenario", name, *SPECTRA[scenario.dim]]
         cases[f"{command}-custom-d3"] = [command, "--scenario", "custom", "--basis-file", str(BASIS_FILE)]

@@ -104,6 +104,20 @@ def ks18_diagram():
     )
 
 
+def peres_rays():
+    """Peres' 33 rays in d = 3 (J. Phys. A 24, L175 (1991)): the coordinate
+    permutations and sign changes of (0,0,1), (0,1,1), (0,1,sqrt2) and
+    (1,1,sqrt2), one vector of each +-v pair, as unit rows."""
+    rays = []
+    for base in ((0, 0, 1), (0, 1, 1), (0, 1, math.sqrt(2)), (1, 1, math.sqrt(2))):
+        for perm in itertools.permutations(base):
+            for signs in itertools.product((1, -1), repeat=3):
+                v = np.array(perm) * signs
+                if not any(np.allclose(v, w) or np.allclose(v, -w) for w in rays):
+                    rays.append(v)
+    return np.array([v / np.linalg.norm(v) for v in rays])
+
+
 def first_match_oracle(contexts):
     """Oracle: atoms and blocks from a pairwise rays_match scan in which each
     ray joins the first atom it matches."""
@@ -303,6 +317,32 @@ def test_eighteen_ray_kochen_specker_set_has_no_two_valued_state():
     assert two_valued_states(diagram) == []
     assert diagram.state_bits.shape == (0, 18)
     assert is_separating([], diagram) == (False, ("a0", "a1"))
+
+
+def test_peres_triads_form_a_separating_diagram_with_3072_states():
+    units = peres_rays()
+    orthogonal = np.abs(units @ units.T) < 1e-12
+    pairs = [pair for pair in itertools.combinations(range(len(units)), 2) if orthogonal[pair]]
+    triads = [
+        t for t in itertools.combinations(range(len(units)), 3)
+        if all(orthogonal[pair] for pair in itertools.combinations(t, 2))
+    ]
+    in_a_triad = {pair for t in triads for pair in itertools.combinations(t, 2)}
+    assert (len(units), len(triads), len([p for p in pairs if p not in in_a_triad])) == (33, 16, 24)
+    # A diagram holds only complete contexts, so the 24 lone orthogonal
+    # pairs constrain nothing here.
+    diagram = diagram_from_contexts([context_from_basis(units[list(t)], (1, 2, 3)) for t in triads])
+    assert (len(diagram.atoms), len(diagram.blocks), len(link_atoms(diagram))) == (33, 16, 9)
+    states = two_valued_states(diagram)
+    assert len(states) == 3072
+    assert [s.assignment for s in states] == backtracking_states(diagram)
+    assert is_separating(states, diagram) == (True, None)
+    # Once the lone pairs count, the set is uncolourable: every state gives
+    # both rays of some lone pair the value 1.
+    atom = [next(m for m, a in enumerate(diagram.atoms) if rays_match(a.ray, u)) for u in units]
+    lone = np.array([(atom[i], atom[j]) for i, j in pairs if (i, j) not in in_a_triad])
+    bits = diagram.state_bits
+    assert np.all((bits[:, lone[:, 0]] & bits[:, lone[:, 1]]).any(axis=1))
 
 
 def test_unsatisfiable_diagram_yields_no_states():
