@@ -127,11 +127,14 @@ def _contexts(args) -> tuple[list[ContextOperator], Scenario | None]:
     """The contexts the flags name, and their scenario (None for 'custom').
 
     A named scenario gives its pair at --left/--right (default: its own
-    spectra). A basis file gives its 'left'/'right' pair at --left/--right
-    (default: 1..d and d+1..2d) or, for ``states`` only, every basis of its
-    'contexts' list at 1..d, where --left and --right are an error.
+    spectra) and takes no --basis-file. A basis file gives its
+    'left'/'right' pair at --left/--right (default: 1..d and d+1..2d) or,
+    for ``states`` only, every basis of its 'contexts' list at 1..d, where
+    --left and --right are an error.
     """
     if args.scenario != "custom":
+        if args.basis_file is not None:
+            raise ValueError("--basis-file applies only to --scenario custom")
         scenario = get_scenario(args.scenario)
         left = scenario.default_left if args.left is None else _parse_spectrum(args.left)
         right = scenario.default_right if args.right is None else _parse_spectrum(args.right)

@@ -10,6 +10,7 @@ outright: outcomes with exact probability zero can never be drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +24,12 @@ _CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
 # followed by the same zero-padded low digits. The chunk size bounds the
 # memory of one rendering; the bytes written do not depend on it.
 _CSV_CHUNK_DIGITS = 5
-# Uniforms drawn per block: 512 KiB of float64, small enough for the cache.
+# Uniforms drawn, and shots ravelled or tallied, per block: 512 KiB of
+# float64 or int64 scratch, small enough for the cache.
 _DRAW_BLOCK = 1 << 16
+# CSV rows rendered, and their NULs dropped, per block: a few hundred KB of
+# records, also small enough for the cache.
+_CSV_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,24 +127,32 @@ def sample(
 
 
 def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
-    """Row-major table cell of each shot; rejects slots that are not
-    integers or lie outside the table."""
+    """Row-major table cell of each shot, in the smallest unsigned dtype
+    that holds every cell of the table (uint8 up to 256 cells); rejects
+    slots that are not integers or lie outside the table. Ravels
+    ``_DRAW_BLOCK`` shots at a time, so its only scratch is one block."""
     slots = np.asarray(shots)
     if slots.ndim != 2 or slots.shape[1] != 2:
         raise ShapeMismatchError(f"shots must form an (n, 2) slot array, not shape {slots.shape}")
     if not np.issubdtype(slots.dtype, np.integer):
         raise ShapeMismatchError(f"shot slots must be integers, not {slots.dtype}")
+    cells = np.empty(len(slots), dtype=np.min_scalar_type(table.probabilities.size - 1))
     try:
-        return np.ravel_multi_index(slots.T, table.shape)
+        for start in range(0, len(slots), _DRAW_BLOCK):
+            cells[start : start + _DRAW_BLOCK] = np.ravel_multi_index(slots[start : start + _DRAW_BLOCK].T, table.shape)
     except ValueError:
         n_left, n_right = table.shape
         raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table") from None
+    return cells
 
 
 def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
     """Tally an (n, 2) shot stream and compare frequencies with the exact table."""
-    n_left, n_right = table.shape
-    counts = np.bincount(_cells(shots, table), minlength=n_left * n_right).reshape(n_left, n_right)
+    cells = _cells(shots, table)
+    counts = np.zeros(table.shape, dtype=np.intp)
+    # One block at a time: np.bincount copies its input to intp.
+    for start in range(0, len(cells), _DRAW_BLOCK):
+        counts += np.bincount(cells[start : start + _DRAW_BLOCK], minlength=counts.size).reshape(table.shape)
     total = int(counts.sum())
     frequencies = counts / total if total else np.zeros_like(counts, dtype=float)
     deviation = float(np.max(np.abs(frequencies - table.probabilities))) if total else float("nan")
@@ -151,21 +164,31 @@ def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
     )
 
 
-def _csv_rows(q: int, chunk: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Chunk ``q`` of the shot CSV as one uint8 matrix of fixed-width byte
-    records, one row per cell in ``chunk``: the prefix ``str(q)``, the low
-    digits and the cell's tail. Chunk 0 has no prefix and NULs in place of
-    its leading zeros."""
+@lru_cache(maxsize=None)
+def _digit_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low digits of every shot number below 10^width as read-only
+    ``V{width}`` records: zero-padded, and with NULs in place of the
+    leading zeros, for chunk 0, which has no prefix."""
+    # Digit j of a row-major index into a (10,) * width grid is its index along axis j.
+    padded = np.stack(np.indices((10,) * width, dtype=np.uint8), axis=-1).reshape(-1, width) + ord("0")
+    bare = padded.copy()
+    for j in range(width - 1):
+        # Shot s < 10^(width - 1 - j) has a leading zero at digit j.
+        bare[: 10 ** (width - 1 - j), j] = 0
+    padded.flags.writeable = bare.flags.writeable = False
+    return padded.view(f"V{width}")[:, 0], bare.view(f"V{width}")[:, 0]
+
+
+def _csv_rows(q: int, cells: np.ndarray, digits: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Rows of chunk ``q`` of the shot CSV as one uint8 matrix of fixed-width
+    byte records, one row per entry of ``cells`` and ``digits``: the prefix
+    ``str(q)`` (none in chunk 0), the row's low digits and its cell's tail."""
     prefix = np.frombuffer(str(q).encode() if q else b"", dtype=np.uint8)
     p, width = len(prefix), digits.itemsize
-    rows = np.empty((len(chunk), p + width + tails.itemsize), dtype=np.uint8)
+    rows = np.empty((len(cells), p + width + tails.itemsize), dtype=np.uint8)
     rows[:, :p] = prefix
-    rows[:, p : p + width].view(digits.dtype)[:, 0] = digits[: len(chunk)]
-    rows[:, p + width :].view(tails.dtype)[:, 0] = np.take(tails, chunk)
-    if not q:
-        # Shot s < 10^(width - 1 - j) has a leading zero at digit j.
-        for j in range(width - 1):
-            rows[: 10 ** (width - 1 - j), j] = 0
+    rows[:, p : p + width].view(digits.dtype)[:, 0] = digits
+    rows[:, p + width :].view(tails.dtype)[:, 0] = np.take(tails, cells)
     return rows
 
 
@@ -176,15 +199,16 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
     written when a slot is not an integer or lies outside the table.
 
-    Rows are rendered as bytes in numpy, 10^``_CSV_CHUNK_DIGITS`` at a time,
-    with no Python object per shot. A chunk is one uint8 matrix of
-    fixed-width byte records: the chunk number as a prefix, the shot's
-    zero-padded low digits (their leading zeros NUL in chunk 0), then the
-    row tail ``,i,λ,j,μ`` plus CRLF of the shot's cell. Each tail is stored
-    once, NUL-padded to a common width, and the digits and tails are copied
-    in as whole ``V`` (raw bytes) elements. CSV text never contains NUL, so
-    dropping every NUL byte of the matrix leaves exactly the chunk's rows in
-    order.
+    Rows are rendered as bytes in numpy, with no Python object per shot, in
+    chunks of 10^``_CSV_CHUNK_DIGITS`` rows that share the chunk number as a
+    prefix, and within a chunk ``_CSV_BLOCK`` rows at a time. A block is
+    one uint8 matrix of fixed-width byte records: the prefix, the shot's
+    low digits (zero-padded, or with NULs for leading zeros in chunk 0),
+    then the row tail ``,i,λ,j,μ`` plus CRLF of the shot's cell. Each tail
+    is stored once, NUL-padded to a common width, and the digits and tails
+    are copied in as whole ``V`` (raw bytes) elements. CSV text never
+    contains NUL, so dropping every NUL byte of the matrix leaves exactly
+    the block's rows in order.
     """
     cells = _cells(shots, table)
     left_values, right_values = dict(table.left_labels), dict(table.right_labels)
@@ -197,13 +221,12 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     # numpy's bytes dtype NUL-pads every suffix to the longest one.
     tails = np.array(suffixes)
     tails = tails.view(f"V{tails.itemsize}")
-    width, step = _CSV_CHUNK_DIGITS, 10**_CSV_CHUNK_DIGITS
-    # Record s holds the digits of s, zero-padded to the width: digit j of a
-    # row-major index into a (10,) * width grid is its index along axis j.
-    digits = np.stack(np.indices((10,) * width, dtype=np.uint8), axis=-1) + ord("0")
-    digits = digits.reshape(step, width).view(f"V{width}")[:, 0]
+    padded, bare = _digit_tables(_CSV_CHUNK_DIGITS)
     with open(path, "wb") as handle:
         handle.write(_CSV_HEADER)
-        for q, start in enumerate(range(0, len(cells), step)):
-            rows = _csv_rows(q, cells[start : start + step], digits, tails)
-            handle.write(rows[rows != 0])
+        for q, start in enumerate(range(0, len(cells), len(padded))):
+            chunk = cells[start : start + len(padded)]
+            digits = (padded if q else bare)[: len(chunk)]
+            for lo in range(0, len(chunk), _CSV_BLOCK):
+                rows = _csv_rows(q, chunk[lo : lo + _CSV_BLOCK], digits[lo : lo + _CSV_BLOCK], tails)
+                handle.write(rows[rows != 0])

@@ -279,6 +279,16 @@ def test_custom_requires_basis_file(capsys):
         assert capsys.readouterr().err.strip().splitlines() == ["error: scenario 'custom' requires --basis-file"]
 
 
+@pytest.mark.parametrize("command", ["expectation", "joint", "sample", "states", "sequential"])
+def test_basis_file_with_a_named_scenario_is_rejected(tmp_path, capsys, command):
+    # A well-formed file, so the error is about the flag and not the file.
+    basis = write_basis_file(tmp_path / "b.json", {"left": BASIS_3, "right": BASIS_3})
+    report = tmp_path / "report.json"
+    assert cli.main([command, "--scenario", "ks-mixed", "--basis-file", basis, "--out", str(report)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: --basis-file applies only to --scenario custom"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
+
+
 def test_repeated_forbidden_cell_exits_with_one_line(capsys):
     assert_one_line_validation_failure(capsys, "joint", "--scenario", "ks-collinear", "--forbidden", "0,0;0,0;0,0;0,0")
 

@@ -5,7 +5,9 @@ complex Gaussian matrices) with real, negative and non-integer spectra. The
 references are deliberately naive: a per-row ``Counter`` for the tally, a
 ``csv.writer`` row per shot for the CSV, one single-batch ``sample`` call
 per batch for the batched stream, and a clipped binary search
-(``np.searchsorted``) for the inverse-CDF index of the draw.
+(``np.searchsorted``) for the inverse-CDF index of the draw. The sampler's
+block sizes are drawn down to a few rows, so runs of at most 3000 shots
+cross block boundaries.
 """
 
 import collections
@@ -33,6 +35,15 @@ EIGENVALUE = st.one_of(
     st.integers(-20, 20).map(float),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
 )
+
+# A block of a few rows, or None for the module's own size.
+BLOCK = st.one_of(st.none(), st.integers(1, 50))
+
+
+def blocks(**sizes):
+    """Patch the sampler's block-size constants; None keeps a constant's value."""
+    return mock.patch.multiple(sampler, **{name: getattr(sampler, name) if size is None else size
+                                           for name, size in sizes.items()})
 
 
 def spectra(d):
@@ -91,25 +102,28 @@ def reference_csv(shots, table) -> bytes:
 
 
 @SETTINGS
-@given(runs())
-def test_counts_equal_a_per_row_counter(run):
+@given(runs(), BLOCK)
+def test_counts_equal_a_per_row_counter(run, draw_block):
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
     expected = np.zeros(table.shape, dtype=np.int64)
     for (i, j), count in collections.Counter(map(tuple, shots.tolist())).items():
         expected[i, j] = count
-    report = empirical_report(shots, table)
+    with blocks(_DRAW_BLOCK=draw_block):
+        report = empirical_report(shots, table)
     assert np.array_equal(report.counts, expected)
     assert report.total_shots == n
 
 
 @SETTINGS
-@given(runs(), st.integers(1, 3))
-def test_csv_bytes_equal_a_csv_writer_rendering(run, chunk_digits):
-    # Chunks of 10, 100 or 1000 rows, so n <= 3000 crosses chunk boundaries.
+@given(runs(), st.integers(1, 3), BLOCK, BLOCK)
+def test_csv_bytes_equal_a_csv_writer_rendering(run, chunk_digits, draw_block, csv_block):
+    # Chunks of 10, 100 or 1000 rows, so n <= 3000 crosses chunk boundaries,
+    # and also the boundaries of the cell and rendering blocks.
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampler, "_CSV_CHUNK_DIGITS", chunk_digits):
+    patch = blocks(_CSV_CHUNK_DIGITS=chunk_digits, _DRAW_BLOCK=draw_block, _CSV_BLOCK=csv_block)
+    with tempfile.TemporaryDirectory() as tmp, patch:
         path = Path(tmp) / "shots.csv"
         write_shot_csv(shots, table, path)
         assert path.read_bytes() == reference_csv(shots, table)
@@ -134,8 +148,8 @@ def test_batched_stream_is_the_concatenation_of_per_batch_draws(run):
 
 
 @SETTINGS
-@given(runs(), st.data())
-def test_out_of_range_slots_are_rejected(run, data):
+@given(runs(), BLOCK, st.data())
+def test_out_of_range_slots_are_rejected(run, draw_block, data):
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
     side = data.draw(st.sampled_from((0, 1)))
@@ -144,8 +158,23 @@ def test_out_of_range_slots_are_rejected(run, data):
     row = data.draw(st.integers(0, n))
     shots = np.insert(shots, row, [0, 0], axis=0)
     shots[row, side] = bad
+    with blocks(_DRAW_BLOCK=draw_block), pytest.raises(ShapeMismatchError):
+        empirical_report(shots, table)
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_bad_slot_in_the_last_partial_block_is_rejected(tmp_path, monkeypatch, side, bad):
+    # 23 shots are three blocks of 7 and one of 2; the bad slot is the last shot.
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
+    shots = sample(table, 23, seed=4)
+    shots[-1, side] = bad
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 7)
     with pytest.raises(ShapeMismatchError):
         empirical_report(shots, table)
+    with pytest.raises(ShapeMismatchError):
+        write_shot_csv(shots, table, tmp_path / "shots.csv")
+    assert not (tmp_path / "shots.csv").exists()
 
 
 # Cell weights from tiny (a 5e-324 cell after a sum of order 1 adds a
