@@ -337,6 +337,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--right", help="comma-separated eigenvalues for the right context")
     parser.add_argument("--basis-file", help="JSON file with custom bases ([re,im] pair vectors)")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
+
+
+def _add_tol(parser: argparse.ArgumentParser) -> None:
+    """``--tol``, for the commands that read a table's support."""
     parser.add_argument(
         "--tol",
         type=float,
@@ -355,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("joint", help="full joint table with uniqueness and criterion reports")
     _add_common(p)
+    _add_tol(p)
     p.add_argument("--forbidden", help="cells 'i,j;i,j;...' (required for custom scenarios)")
     p.set_defaults(handler=cmd_joint)
 
     p = sub.add_parser("sample", help="simulated shots: CSV records plus a JSON report")
     _add_common(p)
+    _add_tol(p)
     p.add_argument("--shots", type=int, default=10000, help="number of coincidence shots")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generator seed in [0, 2^64) (recorded in output)")
     p.add_argument("--batches", type=int, default=1, help="independently seeded batches")
@@ -398,7 +404,7 @@ def _is_report_file(path: str, out: str | None) -> bool:
 def _check_flags(args) -> None:
     """Checks on flags alone, before any work; ``sample`` leaves its
     ``--shots``, ``--seed`` and ``--batches`` ranges to the library."""
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+    if args.command in ("joint", "sample") and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError("--tol must be finite and nonnegative")
     if args.command != "sample":
         return

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     NonNegligibleImaginaryPartError,
 )
+from .greechie import MEMO_SIZE
 from .linalg import as_vector, unit_rows
 from .observables import ContextOperator
 from .states import BipartiteState, DensityMatrix
@@ -179,6 +180,21 @@ def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...]
     return components, spans
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _support_structure(
+    mask: bytes, n: int
+) -> tuple[bool, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool]:
+    """What a uniqueness report reads off an n x n support alone, kept per
+    pattern (the bytes of the boolean mask): whether every row and every
+    column holds exactly one populated cell, the components of
+    :func:`_support_components`, and whether each component fills its full
+    product of slots."""
+    support = np.frombuffer(mask, dtype=bool).reshape(n, n)
+    one_per_line = bool(np.all(support.sum(axis=1) == 1) and np.all(support.sum(axis=0) == 1))
+    components, spans = _support_components(support)
+    return one_per_line, tuple(components), bool(np.array_equal(support, spans))
+
+
 @functools.cache
 def _permutations(n: int) -> np.ndarray:
     """Read-only (n!, n) table of every permutation of range(n), in
@@ -195,7 +211,9 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     the best (probability-maximizing) slot matching, found by scoring all
     n! permutations at once (tables here are at most 4x4; the table of
     permutations grows as n!). ``violation_mass`` is the probability
-    outside that matching. Raises ValueError when no cell is populated."""
+    outside that matching. The rest of the report depends on the support
+    pattern alone and is kept per pattern, for the ``MEMO_SIZE`` patterns
+    used last. Raises ValueError when no cell is populated."""
     p = table.probabilities
     n, m = p.shape
     if n != m:
@@ -216,17 +234,13 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
     violation_mass = float(p.sum() - masses[best])
 
-    rows_single = bool(np.all(support.sum(axis=1) == 1))
-    cols_single = bool(np.all(support.sum(axis=0) == 1))
-    is_unique = rows_single and cols_single and violation_mass <= tol
-
-    components, spans = _support_components(support)
+    one_per_line, blocks, block_structured = _support_structure(support.tobytes(), n)
     return UniquenessReport(
-        is_unique=is_unique,
+        is_unique=one_per_line and violation_mass <= tol,
         pairing=pairing,
         violation_mass=violation_mass,
-        blocks=tuple(components),
-        block_structured=bool(np.array_equal(support, spans)),
+        blocks=blocks,
+        block_structured=block_structured,
     )
 
 

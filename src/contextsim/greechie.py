@@ -7,7 +7,8 @@ classical truth assignment.
 
 A diagram and its states depend only on the contexts' rays, never on their
 eigenvalues, so each diagram is built once per tuple of ray sets and its
-states are enumerated once per diagram.
+states are enumerated once per diagram, into one bit matrix that
+:func:`two_valued_states` and :func:`is_separating` read.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import functools
 import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .linalg import as_vector, unit_rows
 from .observables import ContextOperator, RaySet
 from .tolerances import RAY_MATCH_TOL
 
-# How many diagrams diagram_from_contexts keeps, dropping the least recently
-# used. A custom basis is a new RaySet on every call, so the memo is bounded.
-_DIAGRAM_MEMO_SIZE = 32
+# How many entries each analysis memo keeps, dropping the least recently
+# used: the diagrams here and the support structures in correlations. A
+# custom basis is a new RaySet on every call, so the memos are bounded.
+MEMO_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +106,45 @@ class TwoValuedState:
     assignment: dict[str, int]
 
 
+class TwoValuedStates(Sequence):
+    """The two-valued states of a diagram as a read-only sequence: a view
+    over its ``state_bits`` and atom ids, in the matrix's row order.
+
+    Reading an item builds a :class:`TwoValuedState` with a fresh dict,
+    which a caller may change freely; the matrix itself is shared. The view
+    equals another view with the same ids and bits, and a list of equal
+    states. A plain class: a dataclass would cost import time in every
+    process.
+    """
+
+    __slots__ = ("atom_ids", "bits")
+
+    def __init__(self, atom_ids: tuple[str, ...], bits: np.ndarray):
+        self.atom_ids = atom_ids
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return TwoValuedStates(self.atom_ids, self.bits[k])
+        return TwoValuedState(assignment=dict(zip(self.atom_ids, self.bits[k].tolist())))
+
+    def __iter__(self):
+        ids = self.atom_ids
+        return (TwoValuedState(assignment=dict(zip(ids, row))) for row in self.bits.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, TwoValuedStates):
+            return self.atom_ids == other.atom_ids and np.array_equal(self.bits, other.bits)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+
 def _overlap_match(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
     """match[m, k]: unit row k of ``b_units`` spans the ray of unit row m of
     ``a_units``, that is 1 - |conj(A) B^T|[m, k] <= ``RAY_MATCH_TOL``. The
@@ -143,7 +184,7 @@ def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagra
     return _diagram(tuple(c.rays for c in contexts))
 
 
-@functools.lru_cache(maxsize=_DIAGRAM_MEMO_SIZE)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _diagram(ray_sets: tuple[RaySet, ...]) -> GreechieDiagram:
     """The diagram of contexts with these ray sets, from one overlap matrix
     of all their unit rows."""
@@ -171,16 +212,15 @@ def link_atoms(diagram: GreechieDiagram) -> list[str]:
     return [a.id for a in diagram.atoms if counts[a.id] >= 2]
 
 
-def two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
+def two_valued_states(diagram: GreechieDiagram) -> TwoValuedStates:
     """All {0,1} assignments with exactly one 1 per block, exhaustively.
 
-    One state per row of ``diagram.state_bits``, so the order is
-    lexicographic in the assignment bits and results are deterministic.
-    Each call returns new dicts, which a caller may change freely. The
-    empty list is a valid outcome.
+    A read-only view with one state per row of ``diagram.state_bits``, so
+    the order is lexicographic in the assignment bits and results are
+    deterministic. No state is built until it is read. The empty sequence
+    is a valid outcome.
     """
-    ids = diagram.atom_ids()
-    return [TwoValuedState(assignment=dict(zip(ids, row))) for row in diagram.state_bits.tolist()]
+    return TwoValuedStates(diagram.atom_ids(), diagram.state_bits)
 
 
 def is_separating(
@@ -192,14 +232,19 @@ def is_separating(
     first atom pair (in atom order) that no state distinguishes. Two atoms
     are told apart exactly when their columns in the (states, atoms) bit
     matrix of ``states`` differ, so the pair is the lexicographically first
-    pair of equal columns. With no states every column is equal.
+    pair of equal columns. With no states every column is equal. A
+    :class:`TwoValuedStates` view over the diagram's atom ids lends its
+    matrix as it is; any other sequence of states is read into one.
     """
     ids = diagram.atom_ids()
     if len(ids) < 2:
         return True, None
-    get = operator.itemgetter(*ids)
-    n = len(states)
-    bits = np.array([get(s.assignment) for s in states], dtype=np.uint8).reshape(n, len(ids))
+    if isinstance(states, TwoValuedStates) and states.atom_ids == ids:
+        bits = states.bits
+    else:
+        get = operator.itemgetter(*ids)
+        bits = np.array([get(s.assignment) for s in states], dtype=np.uint8).reshape(len(states), len(ids))
+    n = len(bits)
     # Column j of the bit matrix is raw[j * n : (j + 1) * n].
     raw = bits.T.tobytes()
     first: dict[bytes, int] = {}

@@ -468,6 +468,13 @@ def test_basis_file_must_hold_an_object(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_bad_tol_exits_with_one_line(capsys, tol):
     assert_one_line_validation_failure(capsys, "joint", "--scenario", "ks-mixed", "--tol", tol)
+    # Only joint and sample read a support threshold; the other commands
+    # take no --tol, not even a valid one.
+    for command in ("expectation", "states", "sequential"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--scenario", "ks-mixed", "--tol", "1e-10"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines() == ["contextsim: error: unrecognized arguments: --tol 1e-10"]
 
 
 def test_negative_shots_exits_with_one_line(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Tests for exact quantum predictions: expectations, joint tables,
 uniqueness, the zero-cell criterion, and the prepare-then-measure variant."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from contextsim import correlations, greechie
 from contextsim.correlations import (
     JointTable,
     _support_components,
@@ -295,6 +297,48 @@ def test_support_components_match_a_breadth_first_search_on_every_pattern(dim):
         # Oracle for block_structured: every component fills its full product of slots.
         filled = all(pattern[np.ix_(left, right)].all() for left, right in expected)
         assert np.array_equal(pattern, spans) == filled
+
+
+def table_on_pattern(rng, pattern):
+    """A valid table with random positive cells exactly on ``pattern``."""
+    n = len(pattern)
+    p = np.where(pattern, rng.uniform(0.1, 1.0, pattern.shape), 0.0)
+    labels = tuple((k, float(k + 1)) for k in range(n))
+    return JointTable(left_labels=labels, right_labels=labels, probabilities=p / p.sum())
+
+
+def test_uniqueness_reports_match_a_fresh_computation_on_every_3x3_pattern():
+    # Every non-empty pattern, in a shuffled order, twice, on fresh tables:
+    # the memo of support structures both misses and hits, and evicts.
+    rng = np.random.default_rng(5)
+    bits = (np.arange(1, 2**9)[:, None] >> np.arange(9)) & 1
+    patterns = list(bits.astype(bool).reshape(-1, 3, 3))
+    perms = list(itertools.permutations(range(3)))
+    for pattern in [patterns[k] for k in np.concatenate([rng.permutation(511), rng.permutation(511)])]:
+        table = table_on_pattern(rng, pattern)
+        p = table.probabilities
+        report = verify_uniqueness(table)
+        # The first permutation of greatest mass, each mass a running sum in slot order.
+        masses = [p[0, s[0]] + p[1, s[1]] + p[2, s[2]] for s in perms]
+        best = perms[masses.index(max(masses))]
+        violation_mass = float(p.sum() - max(masses))
+        one_per_line = bool(np.all(pattern.sum(axis=1) == 1) and np.all(pattern.sum(axis=0) == 1))
+        components, spans = _support_components(pattern)
+        assert report.pairing == tuple((i, best[i]) for i in range(3) if pattern[i, best[i]])
+        assert report.violation_mass == violation_mass
+        assert report.is_unique == (one_per_line and violation_mass <= 1e-10)
+        assert report.blocks == tuple(components)
+        assert report.block_structured == np.array_equal(pattern, spans)
+
+
+def test_support_memo_stays_within_its_bound():
+    rng = np.random.default_rng(9)
+    for n in (3, 4) * 100:
+        pattern = rng.random((n, n)) < 0.5
+        pattern[0, 0] = True
+        verify_uniqueness(table_on_pattern(rng, pattern))
+    info = correlations._support_structure.cache_info()
+    assert info.maxsize == greechie.MEMO_SIZE and info.currsize <= info.maxsize
 
 
 def test_uniform_table_is_not_unique():

@@ -289,6 +289,12 @@ def test_enumeration_matches_brute_force_on_random_small_diagrams(data):
     diagram = GreechieDiagram(atoms=tuple(Atom(id=i) for i in ids), blocks=blocks, dim=dim)
     states = two_valued_states(diagram)
     assert [s.assignment for s in states] == brute_force_states(diagram) == backtracking_states(diagram)
+    # The view's matrix columns and a hand-built list of the same rows give
+    # one verdict, and the view equals the list of its items.
+    hand_built = [TwoValuedState(dict(zip(diagram.atom_ids(), row))) for row in diagram.state_bits.tolist()]
+    assert is_separating(states, diagram) == is_separating(hand_built, diagram)
+    assert states == list(states) == hand_built
+    assert len(states) < 2 or states != hand_built[::-1]
 
 
 @pytest.mark.parametrize("length", [6, 10])
@@ -314,9 +320,10 @@ def test_eighteen_ray_kochen_specker_set_has_no_two_valued_state():
     diagram = ks18_diagram()
     assert (len(diagram.atoms), len(diagram.blocks), len(link_atoms(diagram))) == (18, 9, 18)
     assert backtracking_states(diagram) == []
-    assert two_valued_states(diagram) == []
+    states = two_valued_states(diagram)
+    assert not states and states == []
     assert diagram.state_bits.shape == (0, 18)
-    assert is_separating([], diagram) == (False, ("a0", "a1"))
+    assert is_separating(states, diagram) == is_separating([], diagram) == (False, ("a0", "a1"))
 
 
 def test_peres_triads_form_a_separating_diagram_with_3072_states():
