@@ -94,10 +94,11 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
 def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
     cells = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse forbidden cell {chunk!r}; expected 'left,right'")
-        cells.append((int(parts[0]), int(parts[1])))
+        try:
+            left, right = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse forbidden cell {chunk!r}; expected 'left,right'") from None
+        cells.append((left, right))
     return tuple(cells)
 
 

@@ -30,10 +30,10 @@ class JointTable:
     """Joint outcome probabilities P[i, j] for one context pair on one state.
 
     Labels are (slot, eigenvalue) pairs whose slots are the row (column)
-    indices 0, 1, ..., n-1 in order. Probabilities below ``NEGATIVE_FLOOR``,
-    or NaN, signal a broken projector and are rejected; tiny negative
-    roundoff is clamped to zero. The clamped table must sum to 1 within
-    ``NORMALIZATION_TOL``.
+    indices 0, 1, ..., n-1 in order. Complex probabilities are rejected.
+    Probabilities below ``NEGATIVE_FLOOR``, or NaN, signal a broken
+    projector and are rejected; tiny negative roundoff is clamped to zero.
+    The clamped table must sum to 1 within ``NORMALIZATION_TOL``.
     """
 
     left_labels: tuple[tuple[int, float], ...]
@@ -41,7 +41,10 @@ class JointTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.asarray(self.probabilities)
+        if p.dtype.kind == "c":
+            raise ValueError("probabilities must be real, not complex")
+        p = p.astype(float, copy=False)
         if p.ndim != 2 or p.shape != (len(self.left_labels), len(self.right_labels)):
             raise ValueError("probability matrix shape must match the outcome labels")
         for labels in (self.left_labels, self.right_labels):
@@ -50,7 +53,7 @@ class JointTable:
         # "not p >= floor" rather than "p < floor": NaN fails the check.
         if not p.min() >= NEGATIVE_FLOOR:
             raise ValueError(f"probability {p.min()} below {NEGATIVE_FLOOR}: broken projector")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         total = float(p.sum())
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")

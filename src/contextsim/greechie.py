@@ -78,7 +78,8 @@ class GreechieDiagram:
         whose block already holds one 1 is kept, a row with none gets one
         copy per atom of the block that no earlier block holds, with that
         atom set to 1, and a row with two or more 1s is dropped. Atoms in no
-        block double the rows. ``np.lexsort`` then restores the order.
+        block double the rows. Sorting each row as one n-byte record then
+        restores the lexicographic order.
         """
         index = {atom_id: k for k, atom_id in enumerate(self.atom_ids())}
         n = len(index)
@@ -94,7 +95,8 @@ class GreechieDiagram:
         for k in np.flatnonzero(~placed):
             rows = np.concatenate([rows, rows | unit[k]])
         if len(rows) > 1:
-            rows = rows[np.lexsort(rows.T[::-1])]
+            # One n-byte record per row: numpy orders raw bytes like memcmp.
+            rows = np.sort(rows.view(f"V{n}"), axis=0).view(np.uint8)
         rows.setflags(write=False)
         return rows
 

@@ -19,7 +19,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -29,7 +29,7 @@ def as_vector(v) -> np.ndarray:
     w = np.asarray(v, dtype=complex)
     if w.ndim != 1:
         raise ValueError(f"expected a vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("vector entries must be finite")
     return w
 
@@ -46,9 +46,13 @@ def is_unitary(a) -> bool:
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """The rows of ``m`` divided by their norms: the one normalization of a
-    ray and the one zero-ray check. Raises ZeroVectorError for a zero row."""
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if not np.all(norms > 0.0):
+    ray and the one zero-ray check. Raises ZeroVectorError for a zero row.
+
+    The norms are ``np.linalg.norm(m, axis=1, keepdims=True)`` written out
+    as that function computes them, bit for bit, without its Python-level
+    dispatch."""
+    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=1, keepdims=True))
+    if not (norms > 0.0).all():
         raise ZeroVectorError("cannot normalize the zero vector")
     return m / norms
 

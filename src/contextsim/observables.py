@@ -122,7 +122,9 @@ class RaySet:
         # A private copy: as_matrix returns complex input as it is.
         basis = as_matrix(self.basis).copy()
         units = unit_rows(basis)
-        if float(np.max(np.abs(basis.conj() @ basis.T - np.eye(basis.shape[0])))) > BASIS_TOL:
+        defect = basis.conj() @ basis.T
+        defect.reshape(-1)[:: basis.shape[0] + 1] -= 1.0  # the diagonal: minus the identity
+        if float(np.abs(defect).max()) > BASIS_TOL:
             raise NonOrthonormalBasisError(f"basis is not orthonormal within {BASIS_TOL}")
         for array in (basis, units):
             array.setflags(write=False)
@@ -214,6 +216,13 @@ class FourDimContexts(NamedTuple):
     C_prime: ContextOperator
 
 
+def four_dim_context(name: str, *spectrum: float) -> ContextOperator:
+    """One context of :func:`four_dim_contexts`, labelled by its name: ``"C"``
+    or ``"C'"``. A scenario that uses only one of the two builds only that
+    one."""
+    return ContextOperator(_named_rays(name), spectrum, name)
+
+
 def four_dim_contexts(
     alpha: float, beta: float, gamma: float, delta: float
 ) -> FourDimContexts:
@@ -223,10 +232,9 @@ def four_dim_contexts(
     coordinates, with outcome rays (1,1,0,0)/sqrt2 and (-1,1,0,0)/sqrt2
     carrying the first two eigenvalues, and keeps e3, e4 unchanged.
     """
-    spectrum = (alpha, beta, gamma, delta)
     return FourDimContexts(
-        C=ContextOperator(_named_rays("C"), spectrum, "C"),
-        C_prime=ContextOperator(_named_rays("C'"), spectrum, "C'"),
+        C=four_dim_context("C", alpha, beta, gamma, delta),
+        C_prime=four_dim_context("C'", alpha, beta, gamma, delta),
     )
 
 
@@ -237,12 +245,19 @@ def context_from_basis(
 ) -> ContextOperator:
     """Context operator from an arbitrary orthonormal basis and spectrum.
 
-    Coerces the rays into one (d, d) array; :class:`ContextOperator` checks
-    the spectrum and orthonormality and raises NonOrthonormalBasisError /
-    DegenerateSpectrumError on invalid input.
+    Coerces the rays into one complex (d, d) array, once, and hands it to
+    :class:`ContextOperator`, which checks the spectrum, finiteness and
+    orthonormality and raises DegenerateSpectrumError, ValueError or
+    NonOrthonormalBasisError on invalid input. A basis that is not d rays
+    of length d raises ValueError for the first ray that is not a finite
+    vector, and NonOrthonormalBasisError otherwise.
     """
-    rays = tuple(as_vector(v) for v in basis)
-    dim = len(rays)
-    if dim == 0 or any(r.shape[0] != dim for r in rays):
+    try:
+        rays = np.array(basis, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or entries that are not numbers
+        rays = None
+    if rays is None or rays.ndim != 2 or not 0 < rays.shape[0] == rays.shape[1]:
+        for ray in basis:
+            as_vector(ray)
         raise NonOrthonormalBasisError("basis must consist of dim vectors of length dim")
-    return ContextOperator(np.array(rays), spectrum, label)
+    return ContextOperator(rays, spectrum, label)

@@ -8,10 +8,11 @@ support (all cells off the uniqueness pattern).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .observables import ContextOperator, four_dim_contexts, ks_context, ks_context_prime
+from .observables import ContextOperator, four_dim_context, ks_context, ks_context_prime
 from .states import BipartiteState, singlet
 
 Spectrum = Sequence[float]
@@ -42,12 +43,8 @@ class Scenario:
         return self._closed_form(left, right)
 
 
-def _build_c(*spectrum: float) -> ContextOperator:
-    return four_dim_contexts(*spectrum).C
-
-
-def _build_c_prime(*spectrum: float) -> ContextOperator:
-    return four_dim_contexts(*spectrum).C_prime
+_build_c = functools.partial(four_dim_context, "C")
+_build_c_prime = functools.partial(four_dim_context, "C'")
 
 
 def _complement(dim: int, support: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

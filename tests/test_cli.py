@@ -291,6 +291,11 @@ def test_basis_file_with_a_named_scenario_is_rejected(tmp_path, capsys, command)
 
 def test_repeated_forbidden_cell_exits_with_one_line(capsys):
     assert_one_line_validation_failure(capsys, "joint", "--scenario", "ks-collinear", "--forbidden", "0,0;0,0;0,0;0,0")
+    # A cell that is not two integers is named, as an unparsable spectrum is.
+    assert cli.main(["joint", "--scenario", "ks-mixed", "--forbidden", "0,x"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: cannot parse forbidden cell '0,x'; expected 'left,right'"
+    ]
 
 
 def test_degenerate_spectrum_exits_with_validation_failure(capsys):

@@ -201,7 +201,13 @@ def test_negative_probability_beyond_floor_is_rejected():
     labels = ((0, 1.0), (1, 2.0))
     # A NaN cell is neither below the floor nor off the sum by more than the
     # tolerance when the checks are written as "p < floor" and "|s - 1| > tol".
-    for probabilities in ([[0.5, 0.5], [1e-6, -1e-6]], [[np.nan, 0.0], [0.0, 1.0]]):
+    # A complex cell is no probability, even where dropping its imaginary
+    # part would leave a table that sums to 1.
+    for probabilities in (
+        [[0.5, 0.5], [1e-6, -1e-6]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[0.5 + 0.3j, 0.0], [0.0, 0.5]],
+    ):
         with pytest.raises(ValueError):
             JointTable(
                 left_labels=labels,

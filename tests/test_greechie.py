@@ -439,3 +439,20 @@ def test_diagram_validation_rejects_malformed_blocks():
         GreechieDiagram(atoms=atoms, blocks=(("a", "a", "b"),), dim=3)
     with pytest.raises(ValueError):
         GreechieDiagram(atoms=atoms, blocks=(("a", "b", "z"),), dim=3)
+
+
+def test_state_bits_rows_are_in_lexicographic_order():
+    # Random diagrams of 3-atom blocks over few atoms, so that blocks overlap
+    # and the enumeration leaves the rows of most diagrams out of order.
+    rng = np.random.default_rng(7)
+    several = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 10))
+        blocks = {tuple(sorted(rng.choice(n, 3, replace=False).tolist())) for _ in range(rng.integers(1, 6))}
+        atoms = tuple(Atom(id=f"a{k}") for k in range(n))
+        diagram = GreechieDiagram(atoms=atoms, blocks=tuple(tuple(f"a{k}" for k in b) for b in sorted(blocks)), dim=3)
+        bits = diagram.state_bits
+        assert bits.tobytes() == bits[np.lexsort(bits.T[::-1])].tobytes()
+        assert [dict(zip(diagram.atom_ids(), row)) for row in bits.tolist()] == brute_force_states(diagram)
+        several += len(bits) > 1
+    assert several > 250

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from contextsim.errors import NoConvergenceError, NotHermitianError, ZeroVectorError
-from contextsim.linalg import fix_phase, hermitian_eigensystem, is_hermitian, is_unitary, projector_from_ray
+from contextsim.linalg import (
+    fix_phase,
+    hermitian_eigensystem,
+    is_hermitian,
+    is_unitary,
+    projector_from_ray,
+    unit_rows,
+)
 from contextsim.observables import Direction, spin1_operator
 from contextsim.states import rotation_operator_spin1
 
@@ -111,3 +118,13 @@ def test_unitarity_predicate():
     u = rotation_operator_spin1(Direction(0.3, 2.2), 0.7)
     assert is_unitary(u)
     assert not is_unitary(2.0 * u)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_unit_rows_is_bitwise_numpys_norm(d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        for shape in ((d, d), (1, d)):
+            m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+            expected = m / np.linalg.norm(m, axis=1, keepdims=True)
+            assert unit_rows(m).tobytes() == expected.tobytes()

@@ -292,6 +292,37 @@ def test_rays_off_unit_norm_keep_the_declared_spectrum():
     assert np.max(np.abs(ContextOperator(rays, spectrum).matrix - exact)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "basis, error",
+    [
+        ([], NonOrthonormalBasisError),
+        (np.zeros((0, 0)), NonOrthonormalBasisError),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]], NonOrthonormalBasisError),
+        ([np.eye(3)[0], np.eye(2)[1], np.eye(3)[2]], NonOrthonormalBasisError),
+        ([[1, 0], [0, 1], [0, 0]], NonOrthonormalBasisError),
+        ([[1, 0, 0], [0, 1, 0]], NonOrthonormalBasisError),
+        (np.eye(3)[:2], NonOrthonormalBasisError),
+        ([[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]], ValueError),
+        ([[1, 0, 0], [[0, 1, 0]], [0, 0, 1]], ValueError),
+        ([1, 0, 0], ValueError),
+        ([None, [0, 1, 0], [0, 0, 1]], ValueError),
+        ([[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]], ValueError),
+        ([[1, 0, 0], [0, np.inf, 0], [0, 0, 1]], ValueError),
+        ([[np.nan, 0], [0, 1, 0], [0, 0, 1]], ValueError),
+        ([[np.nan, 0], [0, 1], [1, 1]], ValueError),
+        ([["a", "0", "0"], [0, 1, 0], [0, 0, 1]], ValueError),
+        (None, TypeError),
+    ],
+)
+def test_context_from_basis_error_classes(basis, error):
+    # Empty, ragged, wrong-length, not 1-D and non-finite bases, each with
+    # the exception class it has always raised. A non-orthonormal basis and
+    # a zero ray have their own tests.
+    with pytest.raises(Exception) as caught:
+        context_from_basis(basis, (1.0, 2.0, 3.0))
+    assert caught.type is error
+
+
 def test_context_from_basis_rejects_a_zero_ray():
     with pytest.raises(ZeroVectorError):
         context_from_basis([np.zeros(3), np.eye(3)[1], np.eye(3)[2]], (1.0, 2.0, 3.0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from contextsim.observables import ContextOperator, four_dim_contexts
 from contextsim.scenarios import SCENARIOS
 
 
@@ -21,3 +22,32 @@ def test_a_fourth_tripod_eigenvalue_is_no_label():
     with pytest.raises(ValueError, match="needs spectra of length 3"):
         SCENARIOS["ks-mixed"].contexts((1, 2, 3, 4), (5, 6, 7))
 
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_each_side_builds_exactly_one_context(monkeypatch, name):
+    built = []
+    post_init = ContextOperator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ContextOperator, "__post_init__", counting)
+    scenario = SCENARIOS[name]
+    pair = scenario.contexts(scenario.default_left, scenario.default_right)
+    assert len(built) == 2
+    assert all(c is p for c, p in zip(built, pair))
+
+
+@pytest.mark.parametrize(
+    "name, sides",
+    [("dim4-collinear-C", ("C", "C")), ("dim4-collinear-Cprime", ("C_prime", "C_prime")), ("dim4-mixed", ("C", "C_prime"))],
+)
+def test_four_dim_contexts_equal_the_scenario_contexts(name, sides):
+    left, right = (0.5, -1.25, 3.0, 2.0), (7.0, 1e-3, -4.5, 6.25)
+    pair = SCENARIOS[name].contexts(left, right)
+    for context, side, spectrum in zip(pair, sides, (left, right)):
+        expected = getattr(four_dim_contexts(*spectrum), side)
+        for attr in ("basis", "units", "matrix"):
+            assert getattr(context, attr).tobytes() == getattr(expected, attr).tobytes()
+        assert (context.spectrum, context.label) == (expected.spectrum, expected.label)
