@@ -30,7 +30,7 @@ from .correlations import (
     verify_uniqueness,
 )
 from .errors import ContextsimError
-from .greechie import diagram_from_contexts, diagram_to_dict, is_separating, link_atoms, rays_match, two_valued_states
+from .greechie import _overlap_match, diagram_from_contexts, diagram_to_dict, is_separating, link_atoms, two_valued_states
 from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
 from .scenarios import SCENARIOS, Scenario, get_scenario
@@ -106,7 +106,7 @@ def _parse_basis(entries) -> list[np.ndarray]:
     """The rays of one custom basis: 3 or 4 lists of [re, im] pairs."""
     try:
         rays = [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("a basis must be a list of rays, each a list of [re, im] number pairs") from None
     if len(rays) not in (3, 4):
         raise ValueError(f"custom contexts must have dimension 3 or 4, not {len(rays)}")
@@ -143,7 +143,10 @@ def _contexts(args) -> tuple[list[ContextOperator], Scenario | None]:
     if not args.basis_file:
         raise ValueError("scenario 'custom' requires --basis-file")
     with open(args.basis_file, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("basis file nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("basis file must hold a JSON object")
     if args.command == "states" and "contexts" in data:
@@ -169,8 +172,8 @@ def _table_payload(state, a, b, table: JointTable) -> dict:
         "right_context": b.label,
         "left_spectrum": list(a.spectrum),
         "right_spectrum": list(b.spectrum),
-        "left_outcomes": [{"slot": s, "eigenvalue": v} for s, v in table.left_labels],
-        "right_outcomes": [{"slot": s, "eigenvalue": v} for s, v in table.right_labels],
+        "left_outcomes": [{"slot": s, "eigenvalue": v} for s, v in enumerate(table.left_spectrum)],
+        "right_outcomes": [{"slot": s, "eigenvalue": v} for s, v in enumerate(table.right_spectrum)],
         "probabilities": table.probabilities,
         "left_marginal": left_marginal,
         "right_marginal": right_marginal,
@@ -193,9 +196,7 @@ def _checked_expectation(
     closed = None if scenario is None else scenario.closed_form(a.spectrum, b.spectrum)
     contracted = None
     if table is not None:
-        lam = np.array([v for _, v in table.left_labels])
-        mu = np.array([v for _, v in table.right_labels])
-        contracted = float(lam @ table.probabilities @ mu)
+        contracted = float(np.array(table.left_spectrum) @ table.probabilities @ np.array(table.right_spectrum))
     scale = expectation_scale(a, b)
     if not all(math.isfinite(x) for x in (scale, exact, closed, contracted) if x is not None):
         raise ValueError("eigenvalue products overflow double precision")
@@ -307,9 +308,8 @@ def cmd_sequential(args) -> dict:
         raise ValueError(f"--prepare-slot must be in [0, {a.dim})")
     prepared = a.basis[args.prepare_slot]
     distribution = sequential_link_test(prepared, b)
-    link_slot = next(
-        (j for j, ray in enumerate(b.basis) if rays_match(ray, prepared)), None
-    )
+    link = _overlap_match(b.units, a.units[[args.prepare_slot]])[:, 0]
+    link_slot = int(link.argmax()) if link.any() else None
     perfect = link_slot is not None and distribution[link_slot][1] >= 1.0 - CLOSED_FORM_TOL
     return {
         "command": "sequential",

@@ -1,7 +1,7 @@
 """Exact quantum predictions for context pairs on a bipartite state.
 
-Outcomes are identified by basis-slot index throughout; eigenvalue labels
-are carried alongside but never used for matching, since spectra are
+Outcomes are identified by basis-slot index throughout; eigenvalues are
+carried alongside but never used for matching, since spectra are
 user-chosen reals that may collide across the two sides.
 """
 
@@ -29,15 +29,15 @@ from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, SUPPORT_THR
 class JointTable:
     """Joint outcome probabilities P[i, j] for one context pair on one state.
 
-    Labels are (slot, eigenvalue) pairs whose slots are the row (column)
-    indices 0, 1, ..., n-1 in order. Complex probabilities are rejected.
+    Row i is left slot i, labelled ``left_spectrum[i]``; column j is right
+    slot j, labelled ``right_spectrum[j]``. Complex probabilities are rejected.
     Probabilities below ``NEGATIVE_FLOOR``, or NaN, signal a broken
     projector and are rejected; tiny negative roundoff is clamped to zero.
     The clamped table must sum to 1 within ``NORMALIZATION_TOL``.
     """
 
-    left_labels: tuple[tuple[int, float], ...]
-    right_labels: tuple[tuple[int, float], ...]
+    left_spectrum: tuple[float, ...]
+    right_spectrum: tuple[float, ...]
     probabilities: np.ndarray
 
     def __post_init__(self):
@@ -45,11 +45,8 @@ class JointTable:
         if p.dtype.kind == "c":
             raise ValueError("probabilities must be real, not complex")
         p = p.astype(float, copy=False)
-        if p.ndim != 2 or p.shape != (len(self.left_labels), len(self.right_labels)):
-            raise ValueError("probability matrix shape must match the outcome labels")
-        for labels in (self.left_labels, self.right_labels):
-            if [slot for slot, _ in labels] != list(range(len(labels))):
-                raise ValueError("outcome slots must be 0, 1, ..., n-1 in order")
+        if p.ndim != 2 or p.shape != (len(self.left_spectrum), len(self.right_spectrum)):
+            raise ValueError("probability matrix shape must match the two spectra")
         # "not p >= floor" rather than "p < floor": NaN fails the check.
         if not p.min() >= NEGATIVE_FLOOR:
             raise ValueError(f"probability {p.min()} below {NEGATIVE_FLOOR}: broken projector")
@@ -151,11 +148,7 @@ def joint_distribution(
     # einsum rounds each product on its own (a BLAS matmul may fuse them), so
     # terms that cancel exactly, as in the forbidden cells, sum to an exact 0.
     p = np.abs(np.einsum("ik,kl,jl->ij", a.units.conj(), psi, b.units.conj())) ** 2
-    return JointTable(
-        left_labels=tuple(enumerate(a.spectrum)),
-        right_labels=tuple(enumerate(b.spectrum)),
-        probabilities=p,
-    )
+    return JointTable(a.spectrum, b.spectrum, p)
 
 
 def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], np.ndarray]:

@@ -114,14 +114,11 @@ def sample(
     shots = np.empty((n, 2), dtype=np.int64)
     cells = np.ascontiguousarray(np.argwhere(mask), dtype=np.int64)
     cdf = np.cumsum(table.probabilities[mask])
-    if batches == 1:
-        _draw(cells, cdf, seed, shots)
-        return shots
     base, extra = divmod(n, batches)
     start = 0
     for b in range(min(batches, n)):
         stop = start + base + (b < extra)
-        _draw(cells, cdf, derive_batch_seed(seed, b), shots[start:stop])
+        _draw(cells, cdf, seed if batches == 1 else derive_batch_seed(seed, b), shots[start:stop])
         start = stop
     return shots
 
@@ -211,12 +208,10 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     the block's rows in order.
     """
     cells = _cells(shots, table)
-    left_values, right_values = dict(table.left_labels), dict(table.right_labels)
-    n_left, n_right = table.shape
     suffixes = [
-        f",{i},{left_values[i]:.15g},{j},{right_values[j]:.15g}\r\n".encode()
-        for i in range(n_left)
-        for j in range(n_right)
+        f",{i},{lam:.15g},{j},{mu:.15g}\r\n".encode()
+        for i, lam in enumerate(table.left_spectrum)
+        for j, mu in enumerate(table.right_spectrum)
     ]
     # numpy's bytes dtype NUL-pads every suffix to the longest one.
     tails = np.array(suffixes)

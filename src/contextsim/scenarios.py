@@ -28,7 +28,7 @@ class Scenario:
     forbidden_cells: tuple[tuple[int, int], ...]
     _left_builder: Callable[..., ContextOperator]
     _right_builder: Callable[..., ContextOperator]
-    _closed_form: Callable[[Spectrum, Spectrum], float]
+    closed_form: Callable[[Spectrum, Spectrum], float]
 
     def contexts(self, left: Spectrum, right: Spectrum) -> tuple[ContextOperator, ContextOperator]:
         """The pair at these spectra, each of length ``dim``."""
@@ -38,9 +38,6 @@ class Scenario:
 
     def state(self) -> BipartiteState:
         return singlet(self.dim)
-
-    def closed_form(self, left: Spectrum, right: Spectrum) -> float:
-        return self._closed_form(left, right)
 
 
 _build_c = functools.partial(four_dim_context, "C")
@@ -63,7 +60,7 @@ SCENARIOS: dict[str, Scenario] = {
         forbidden_cells=_complement(3, {(0, 0), (1, 1), (2, 2)}),
         _left_builder=ks_context,
         _right_builder=ks_context,
-        _closed_form=lambda l, r: (l[0] * r[0] + l[1] * r[1] + l[2] * r[2]) / 3.0,
+        closed_form=lambda l, r: (l[0] * r[0] + l[1] * r[1] + l[2] * r[2]) / 3.0,
     ),
     "ks-mixed": Scenario(
         name="ks-mixed",
@@ -74,7 +71,7 @@ SCENARIOS: dict[str, Scenario] = {
         forbidden_cells=((0, 1), (0, 2), (1, 0), (2, 0)),
         _left_builder=ks_context,
         _right_builder=ks_context_prime,
-        _closed_form=lambda l, r: (2.0 * l[0] * r[0] + (l[1] + l[2]) * (r[1] + r[2])) / 6.0,
+        closed_form=lambda l, r: (2.0 * l[0] * r[0] + (l[1] + l[2]) * (r[1] + r[2])) / 6.0,
     ),
     "dim4-collinear-C": Scenario(
         name="dim4-collinear-C",
@@ -85,7 +82,7 @@ SCENARIOS: dict[str, Scenario] = {
         forbidden_cells=_complement(4, {(0, 3), (1, 2), (2, 1), (3, 0)}),
         _left_builder=_build_c,
         _right_builder=_build_c,
-        _closed_form=lambda l, r: (l[0] * r[3] + l[1] * r[2] + l[2] * r[1] + l[3] * r[0]) / 4.0,
+        closed_form=lambda l, r: (l[0] * r[3] + l[1] * r[2] + l[2] * r[1] + l[3] * r[0]) / 4.0,
     ),
     "dim4-collinear-Cprime": Scenario(
         name="dim4-collinear-Cprime",
@@ -99,7 +96,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         _left_builder=_build_c_prime,
         _right_builder=_build_c_prime,
-        _closed_form=lambda l, r: ((l[0] + l[1]) * (r[2] + r[3]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
+        closed_form=lambda l, r: ((l[0] + l[1]) * (r[2] + r[3]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
     ),
     "dim4-mixed": Scenario(
         name="dim4-mixed",
@@ -110,7 +107,7 @@ SCENARIOS: dict[str, Scenario] = {
         forbidden_cells=((2, 2), (2, 3), (3, 2), (3, 3)),
         _left_builder=_build_c,
         _right_builder=_build_c_prime,
-        _closed_form=lambda l, r: (2.0 * (l[0] * r[3] + l[1] * r[2]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
+        closed_form=lambda l, r: (2.0 * (l[0] * r[3] + l[1] * r[2]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
     ),
 }
 

@@ -228,6 +228,25 @@ def test_sequential_finds_the_link_ray_up_to_a_phase(tmp_path, capsys):
     assert probs == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
 
+def test_sequential_without_a_shared_ray_reports_no_link(tmp_path, capsys):
+    # The right basis is the 3-point Fourier basis: every ray meets every
+    # standard ray with overlap 1/sqrt3, so no slot is a link.
+    w = np.exp(2j * np.pi / 3)
+    right = np.array([[w ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3.0)
+    basis = write_basis_file(
+        tmp_path / "b.json", {"left": BASIS_3, "right": [cli._ray_pairs(r) for r in right]}
+    )
+    for slot in "012":
+        code, data = run_cli(
+            capsys, "sequential", "--scenario", "custom", "--basis-file", basis, "--prepare-slot", slot
+        )
+        assert code == 0
+        assert data["link_slot"] is None
+        assert data["perfect_link_correlation"] is False
+        probs = [entry["probability"] for entry in data["distribution"]]
+        assert probs == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
+
+
 def test_sequential_standard_ray_through_diagonal_context(capsys):
     code, data = run_cli(
         capsys,
@@ -367,7 +386,7 @@ def test_internal_consistency_failure_exits_with_code_two(capsys, monkeypatch):
     from contextsim import scenarios
 
     broken = dataclasses.replace(
-        scenarios.SCENARIOS["ks-mixed"], _closed_form=lambda l, r: 0.0
+        scenarios.SCENARIOS["ks-mixed"], closed_form=lambda l, r: 0.0
     )
     monkeypatch.setitem(scenarios.SCENARIOS, "ks-mixed", broken)
     code, _ = run_cli(capsys, "expectation", "--scenario", "ks-mixed")
@@ -381,7 +400,7 @@ def test_table_commands_check_the_closed_form(tmp_path, capsys, monkeypatch, com
     from contextsim import scenarios
 
     broken = dataclasses.replace(
-        scenarios.SCENARIOS["ks-mixed"], _closed_form=lambda l, r: 0.0
+        scenarios.SCENARIOS["ks-mixed"], closed_form=lambda l, r: 0.0
     )
     monkeypatch.setitem(scenarios.SCENARIOS, "ks-mixed", broken)
     csv = tmp_path / "shots.csv"
@@ -452,6 +471,26 @@ def test_non_numeric_ray_entry_exits_with_one_line(tmp_path, capsys):
     bad = [["a", 0], [0.0, 0.0], [0.0, 0.0]]
     basis = write_basis_file(tmp_path / "b.json", {"left": [bad, RAY_010, RAY_001], "right": BASIS_3})
     assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
+
+
+def test_oversized_integer_ray_entry_exits_with_one_line(tmp_path, capsys):
+    # 10**400 is valid JSON but no double: complex() raises OverflowError.
+    big = [[10**400, 0], [0.0, 0.0], [0.0, 0.0]]
+    basis = write_basis_file(tmp_path / "b.json", {"left": [big, RAY_010, RAY_001], "right": BASIS_3})
+    assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
+    basis = write_basis_file(tmp_path / "c.json", {"contexts": [[big, RAY_010, RAY_001]]})
+    assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+
+
+def test_deeply_nested_basis_file_exits_with_one_line(tmp_path, capsys):
+    # json.load recurses once per bracket and raises RecursionError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for command in ("expectation", "states"):
+        code = cli.main([command, "--scenario", "custom", "--basis-file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines() == ["error: basis file nests too deeply"]
 
 
 def test_mismatched_basis_sizes_name_both_sizes(tmp_path, capsys):

@@ -70,9 +70,10 @@ def qr_basis(seed, d):
 
 @st.composite
 def bases(draw, d):
-    """A valid QR basis in dimension d, or a ragged, non-pair, string or number entry."""
+    """A valid QR basis in dimension d, or a ragged, non-pair, string,
+    number or overflowing entry."""
     basis = qr_basis(draw(st.integers(0, 2**32 - 1)), d)
-    mode = draw(st.sampled_from(WELL_FORMED + ("ragged", "non-pair", "string", "number")))
+    mode = draw(st.sampled_from(WELL_FORMED + ("ragged", "non-pair", "string", "number", "overflow")))
     if mode == "ragged":
         k = draw(st.integers(0, d - 1))
         basis[k] = basis[k][: draw(st.integers(0, d - 1))]
@@ -84,6 +85,9 @@ def bases(draw, d):
         return draw(st.sampled_from(("abc", ["abc", "de"], [["ab", "cd"]])))
     elif mode == "number":
         return draw(st.sampled_from((5, 1.5, None, True)))
+    elif mode == "overflow":
+        # Valid JSON, but no double holds it: complex() raises OverflowError.
+        basis[draw(st.integers(0, d - 1))][0][draw(st.integers(0, 1))] = 10**400
     return basis
 
 

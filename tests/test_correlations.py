@@ -49,10 +49,10 @@ def random_spectra(rng, dim, spread=6.0):
 
 
 def uniform_table(dim):
-    labels = tuple((k, float(k + 1)) for k in range(dim))
+    spectrum = tuple(float(k + 1) for k in range(dim))
     return JointTable(
-        left_labels=labels,
-        right_labels=labels,
+        left_spectrum=spectrum,
+        right_spectrum=spectrum,
         probabilities=np.full((dim, dim), 1.0 / dim**2),
     )
 
@@ -175,9 +175,7 @@ def test_joint_tables_match_amplitude_contraction_oracle():
 def test_joint_tables_contract_to_the_expectation():
     for state, a, b in linked_configurations():
         table = joint_distribution(state, a, b)
-        lam = np.array([v for _, v in table.left_labels])
-        mu = np.array([v for _, v in table.right_labels])
-        contracted = float(lam @ table.probabilities @ mu)
+        contracted = float(np.array(table.left_spectrum) @ table.probabilities @ np.array(table.right_spectrum))
         assert abs(contracted - expectation(density(state), a, b)) < 1e-9
 
 
@@ -198,7 +196,7 @@ def test_joint_distribution_rejects_dimension_mismatch():
 
 
 def test_negative_probability_beyond_floor_is_rejected():
-    labels = ((0, 1.0), (1, 2.0))
+    spectrum = (1.0, 2.0)
     # A NaN cell is neither below the floor nor off the sum by more than the
     # tolerance when the checks are written as "p < floor" and "|s - 1| > tol".
     # A complex cell is no probability, even where dropping its imaginary
@@ -210,24 +208,29 @@ def test_negative_probability_beyond_floor_is_rejected():
     ):
         with pytest.raises(ValueError):
             JointTable(
-                left_labels=labels,
-                right_labels=labels,
+                left_spectrum=spectrum,
+                right_spectrum=spectrum,
                 probabilities=np.array(probabilities),
             )
 
 
-@pytest.mark.parametrize(
-    "labels",
-    [((1, 0.0), (2, 1.0)), ((1, 0.0), (0, 1.0)), ((0, 0.0), (0, 1.0))],
-)
-def test_slots_other_than_0_to_n_minus_1_are_rejected(labels):
-    # The shots index rows and columns by slot; a table whose labels name
-    # other slots could not be written out as shot records.
-    good = ((0, 0.0), (1, 1.0))
+@pytest.mark.parametrize("wrong", [(), (0.0,), (0.0, 1.0, 2.0)])
+def test_a_spectrum_of_the_wrong_length_is_rejected(wrong):
+    # Row i is left slot i and column j right slot j, so each spectrum names
+    # exactly one eigenvalue per row or column.
+    good = (0.0, 1.0)
     p = np.array([[0.5, 0.0], [0.0, 0.5]])
-    for left, right in ((labels, good), (good, labels)):
-        with pytest.raises(ValueError, match="outcome slots must be 0, 1, ..., n-1 in order"):
-            JointTable(left_labels=left, right_labels=right, probabilities=p)
+    for left, right in ((wrong, good), (good, wrong)):
+        with pytest.raises(ValueError, match="shape must match the two spectra"):
+            JointTable(left_spectrum=left, right_spectrum=right, probabilities=p)
+
+
+def test_joint_distribution_carries_the_context_spectra():
+    for state, a, b in linked_configurations():
+        table = joint_distribution(state, a, b)
+        assert table.left_spectrum == a.spectrum
+        assert table.right_spectrum == b.spectrum
+        assert table.shape == (a.dim, b.dim)
 
 
 def test_uniqueness_of_collinear_tripods():
@@ -309,8 +312,8 @@ def table_on_pattern(rng, pattern):
     """A valid table with random positive cells exactly on ``pattern``."""
     n = len(pattern)
     p = np.where(pattern, rng.uniform(0.1, 1.0, pattern.shape), 0.0)
-    labels = tuple((k, float(k + 1)) for k in range(n))
-    return JointTable(left_labels=labels, right_labels=labels, probabilities=p / p.sum())
+    spectrum = tuple(float(k + 1) for k in range(n))
+    return JointTable(left_spectrum=spectrum, right_spectrum=spectrum, probabilities=p / p.sum())
 
 
 def test_uniqueness_reports_match_a_fresh_computation_on_every_3x3_pattern():

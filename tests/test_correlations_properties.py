@@ -208,8 +208,8 @@ def uniqueness_oracle(p, tol=SUPPORT_THRESHOLD):
 def square_table(weights):
     p = np.asarray(weights, dtype=float)
     p = p / p.sum()
-    labels = tuple((k, float(k)) for k in range(p.shape[0]))
-    return JointTable(labels, labels, p)
+    spectrum = tuple(float(k) for k in range(p.shape[0]))
+    return JointTable(spectrum, spectrum, p)
 
 
 def assert_uniqueness_matches_the_oracle(table):

@@ -26,12 +26,13 @@ def mixed_table():
 def degenerate_table():
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
-    labels = tuple((k, float(k)) for k in range(3))
-    return JointTable(left_labels=labels, right_labels=labels, probabilities=p)
+    spectrum = tuple(float(k) for k in range(3))
+    return JointTable(left_spectrum=spectrum, right_spectrum=spectrum, probabilities=p)
 
 
 def test_zero_shots_gives_empty_array():
-    assert sample(mixed_table(), 0, seed=1).shape == (0, 2)
+    for batches in (1, 3):
+        assert sample(mixed_table(), 0, seed=1, batches=batches).shape == (0, 2)
 
 
 def test_same_seed_reproduces_the_stream():
@@ -129,7 +130,7 @@ def test_csv_export(tmp_path):
     assert len(lines) == 11
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[2]) == table.left_labels[int(first[1])][1]
+    assert float(first[2]) == table.left_spectrum[int(first[1])]
 
     again = tmp_path / "again.csv"
     write_shot_csv(sample(table, 10, seed=4), table, again)

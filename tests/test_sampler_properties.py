@@ -91,8 +91,7 @@ def reference_stream(table, n, seed, batches):
 
 def reference_csv(shots, table) -> bytes:
     """One ``csv.writer`` row per shot."""
-    left_values = {slot: value for slot, value in table.left_labels}
-    right_values = {slot: value for slot, value in table.right_labels}
+    left_values, right_values = table.left_spectrum, table.right_spectrum
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["shot", "left_slot", "left_eigenvalue", "right_slot", "right_eigenvalue"])
