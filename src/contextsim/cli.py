@@ -106,6 +106,9 @@ def _parse_basis(entries) -> list[np.ndarray]:
     """The rays of one custom basis: 3 or 4 lists of [re, im] pairs."""
     try:
         rays = [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
+        # complex(True, 0) is 1+0j, but a JSON boolean is no number.
+        if any(type(x) is bool for ray in entries for pair in ray for x in pair):
+            raise TypeError
     except (TypeError, ValueError, OverflowError):
         raise ValueError("a basis must be a list of rays, each a list of [re, im] number pairs") from None
     if len(rays) not in (3, 4):

@@ -38,7 +38,7 @@ class BadCellIndexError(ContextsimError):
 
 
 class ShapeMismatchError(ContextsimError):
-    """Shot slots do not fit the shape of the source table."""
+    """Shots are not a 1-D integer array of the source table's cells."""
 
 
 class UnsupportedDimensionError(ContextsimError):

@@ -46,14 +46,15 @@ def is_unitary(a) -> bool:
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """The rows of ``m`` divided by their norms: the one normalization of a
-    ray and the one zero-ray check. Raises ZeroVectorError for a zero row.
+    ray and the one zero-ray check. Raises ZeroVectorError for a row whose
+    norm is zero, or underflows to zero as a subnormal row's squares do.
 
     The norms are ``np.linalg.norm(m, axis=1, keepdims=True)`` written out
     as that function computes them, bit for bit, without its Python-level
     dispatch."""
     norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=1, keepdims=True))
     if not (norms > 0.0).all():
-        raise ZeroVectorError("cannot normalize the zero vector")
+        raise ZeroVectorError("cannot normalize a ray whose norm is zero or underflows")
     return m / norms
 
 

@@ -24,8 +24,8 @@ _CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
 # followed by the same zero-padded low digits. The chunk size bounds the
 # memory of one rendering; the bytes written do not depend on it.
 _CSV_CHUNK_DIGITS = 5
-# Uniforms drawn, and shots ravelled or tallied, per block: 512 KiB of
-# float64 or int64 scratch, small enough for the cache.
+# Uniforms drawn, and shots tallied, per block: 512 KiB of float64 or intp
+# scratch, small enough for the cache.
 _DRAW_BLOCK = 1 << 16
 # CSV rows rendered, and their NULs dropped, per block: a few hundred KB of
 # records, also small enough for the cache.
@@ -69,10 +69,9 @@ def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _draw(cells: np.ndarray, cdf: np.ndarray, seed: int, out: np.ndarray) -> None:
-    """Fill the (m, 2) slice ``out`` with inverse-CDF draws over the kept
-    ``cells`` (a C-contiguous (k, 2) slot array with cumulative
-    probabilities ``cdf``).
+def _draw(kept: np.ndarray, cdf: np.ndarray, seed: int, out: np.ndarray) -> None:
+    """Fill the 1-D slice ``out`` with inverse-CDF draws over the ``kept``
+    table cells, whose cumulative probabilities are ``cdf``.
 
     The uniforms come from one generator, ``_DRAW_BLOCK`` at a time, so each
     threshold pass of :func:`_cdf_index` runs over a block that stays in
@@ -83,7 +82,7 @@ def _draw(cells: np.ndarray, cdf: np.ndarray, seed: int, out: np.ndarray) -> Non
         block = out[start : start + _DRAW_BLOCK]
         # _cdf_index returns indices below k, so "clip" never moves one; it
         # spares the buffered copy of ``block`` that the default "raise" mode makes.
-        np.take(cells, _cdf_index(cdf, rng.random(len(block))), axis=0, out=block, mode="clip")
+        np.take(kept, _cdf_index(cdf, rng.random(len(block))), out=block, mode="clip")
 
 
 def sample(
@@ -95,9 +94,12 @@ def sample(
 ) -> np.ndarray:
     """Draw ``n`` i.i.d. outcome pairs from ``table``.
 
-    Returns an ``(n, 2)`` int64 array whose row ``k`` holds the (left slot,
-    right slot) of shot ``k``. ``seed`` must lie in [0, 2^64). Raises
-    ValueError when no cell clears ``support_threshold``.
+    Returns an ``(n,)`` array whose entry ``k`` is the row-major table cell
+    ``i * n_right + j`` of shot ``k``, in the smallest unsigned dtype that
+    holds every cell of the table (uint8 up to 256 cells). A caller that
+    wants the (left slot, right slot) pairs takes
+    ``np.unravel_index(shots, table.shape)``. ``seed`` must lie in
+    [0, 2^64). Raises ValueError when no cell clears ``support_threshold``.
 
     ``batches`` splits the stream into independently seeded chunks (seeds
     derived by :func:`derive_batch_seed`) whose concatenation is still fully
@@ -111,40 +113,33 @@ def sample(
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be in [0, 2^64)")
     mask = table.support(support_threshold)
-    shots = np.empty((n, 2), dtype=np.int64)
-    cells = np.ascontiguousarray(np.argwhere(mask), dtype=np.int64)
+    kept = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))
+    shots = np.empty(n, dtype=kept.dtype)
     cdf = np.cumsum(table.probabilities[mask])
     base, extra = divmod(n, batches)
     start = 0
     for b in range(min(batches, n)):
         stop = start + base + (b < extra)
-        _draw(cells, cdf, seed if batches == 1 else derive_batch_seed(seed, b), shots[start:stop])
+        _draw(kept, cdf, seed if batches == 1 else derive_batch_seed(seed, b), shots[start:stop])
         start = stop
     return shots
 
 
 def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
-    """Row-major table cell of each shot, in the smallest unsigned dtype
-    that holds every cell of the table (uint8 up to 256 cells); rejects
-    slots that are not integers or lie outside the table. Ravels
-    ``_DRAW_BLOCK`` shots at a time, so its only scratch is one block."""
-    slots = np.asarray(shots)
-    if slots.ndim != 2 or slots.shape[1] != 2:
-        raise ShapeMismatchError(f"shots must form an (n, 2) slot array, not shape {slots.shape}")
-    if not np.issubdtype(slots.dtype, np.integer):
-        raise ShapeMismatchError(f"shot slots must be integers, not {slots.dtype}")
-    cells = np.empty(len(slots), dtype=np.min_scalar_type(table.probabilities.size - 1))
-    try:
-        for start in range(0, len(slots), _DRAW_BLOCK):
-            cells[start : start + _DRAW_BLOCK] = np.ravel_multi_index(slots[start : start + _DRAW_BLOCK].T, table.shape)
-    except ValueError:
-        n_left, n_right = table.shape
-        raise ShapeMismatchError(f"shot slots outside a {n_left}x{n_right} table") from None
+    """``shots`` as an array, checked to be cells of ``table``: a 1-D integer
+    array whose every value lies in [0, table.probabilities.size). This is
+    the one check of the shots a library caller hands in."""
+    cells = np.asarray(shots)
+    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+        raise ShapeMismatchError(f"shots must be a 1-D integer array of table cells, not {cells.dtype} of shape {cells.shape}")
+    if len(cells) and not (cells.min() >= 0 and cells.max() < table.probabilities.size):
+        raise ShapeMismatchError(f"shot cells outside the {table.probabilities.size} cells of a {table.shape[0]}x{table.shape[1]} table")
     return cells
 
 
 def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
-    """Tally an (n, 2) shot stream and compare frequencies with the exact table."""
+    """Tally a stream of table cells, as :func:`sample` returns it, and
+    compare frequencies with the exact table."""
     cells = _cells(shots, table)
     counts = np.zeros(table.shape, dtype=np.intp)
     # One block at a time: np.bincount copies its input to intp.
@@ -190,11 +185,12 @@ def _csv_rows(q: int, cells: np.ndarray, digits: np.ndarray, tails: np.ndarray) 
 
 
 def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
-    """Export an (n, 2) shot stream with eigenvalue labels resolved from the table.
+    """Export a stream of table cells, as :func:`sample` returns it, with
+    each cell's slots and eigenvalue labels resolved from the table.
 
     Columns: shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue; CSV
-    row ``k`` is shot (array row) ``k``. Lines end in CRLF. Nothing is
-    written when a slot is not an integer or lies outside the table.
+    row ``k`` is shot (array entry) ``k``. Lines end in CRLF. Nothing is
+    written when the shots are not a 1-D integer array of table cells.
 
     Rows are rendered as bytes in numpy, with no Python object per shot, in
     chunks of 10^``_CSV_CHUNK_DIGITS`` rows that share the chunk number as a

@@ -7,8 +7,8 @@ them with ``empirical_report`` and writes their CSV to the null device with
 ``write_shot_csv``. Each stage runs once on a few shots as a warm-up, then
 once at full size under ``tracemalloc``, which also sees numpy's array
 buffers. A stage's extra memory is its traced peak less what was traced
-when it began; for ``sample`` that includes its (n, 2) int64 result. Prints
-one line per stage, in MiB and in bytes per shot.
+when it began; for ``sample`` that includes its (n,) uint8 result of table
+cells. Prints one line per stage, in MiB and in bytes per shot.
 """
 
 from __future__ import annotations

@@ -468,9 +468,24 @@ def test_basis_of_numbers_exits_with_one_line(tmp_path, capsys):
 
 
 def test_non_numeric_ray_entry_exits_with_one_line(tmp_path, capsys):
-    bad = [["a", 0], [0.0, 0.0], [0.0, 0.0]]
-    basis = write_basis_file(tmp_path / "b.json", {"left": [bad, RAY_010, RAY_001], "right": BASIS_3})
-    assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
+    # complex(True, 0) is 1+0j, but a JSON boolean is no number either.
+    for entry in (["a", 0], [True, 0], [1.0, False]):
+        bad = [entry, [0.0, 0.0], [0.0, 0.0]]
+        pair = write_basis_file(tmp_path / "b.json", {"left": [bad, RAY_010, RAY_001], "right": BASIS_3})
+        listed = write_basis_file(tmp_path / "c.json", {"contexts": [[bad, RAY_010, RAY_001]]})
+        for argv in (
+            ["expectation", "--scenario", "custom", "--basis-file", pair],
+            ["sequential", "--scenario", "custom", "--basis-file", pair],
+            ["states", "--scenario", "custom", "--basis-file", pair],
+            ["states", "--scenario", "custom", "--basis-file", listed],
+        ):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.strip().splitlines() == [
+                "error: a basis must be a list of rays, each a list of [re, im] number pairs"
+            ]
 
 
 def test_oversized_integer_ray_entry_exits_with_one_line(tmp_path, capsys):
@@ -480,6 +495,17 @@ def test_oversized_integer_ray_entry_exits_with_one_line(tmp_path, capsys):
     assert_one_line_validation_failure(capsys, "expectation", "--scenario", "custom", "--basis-file", basis)
     basis = write_basis_file(tmp_path / "c.json", {"contexts": [[big, RAY_010, RAY_001]]})
     assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+
+
+def test_subnormal_ray_exits_with_one_line(tmp_path, capsys):
+    # 1e-320 squared underflows to 0, so the ray's norm reads 0.
+    ray = [[1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    basis = write_basis_file(tmp_path / "b.json", {"left": [ray, RAY_010, RAY_001], "right": BASIS_3})
+    code = cli.main(["expectation", "--scenario", "custom", "--basis-file", basis])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: cannot normalize a ray whose norm is zero or underflows"]
 
 
 def test_deeply_nested_basis_file_exits_with_one_line(tmp_path, capsys):
@@ -592,16 +618,16 @@ def test_sample_rejects_a_csv_on_standard_output_without_out(tmp_path):
 
 
 def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):
-    # The (2^50, 2) int64 shot array takes 16 PiB, more than any 64-bit address
+    # The (2^60,) uint8 shot array takes 1 EiB, more than any 64-bit address
     # space holds, so the allocation fails at once whatever the overcommit setting.
     csv = tmp_path / "shots.csv"
-    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", str(2**50), "--csv", str(csv)])
+    code = cli.main(["sample", "--scenario", "ks-mixed", "--shots", str(2**60), "--csv", str(csv)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
-    assert f"({2**50}, 2)" in captured.err
+    assert f"({2**60},)" in captured.err
     assert "Traceback" not in captured.err
     assert not csv.exists()
 

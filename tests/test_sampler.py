@@ -32,7 +32,8 @@ def degenerate_table():
 
 def test_zero_shots_gives_empty_array():
     for batches in (1, 3):
-        assert sample(mixed_table(), 0, seed=1, batches=batches).shape == (0, 2)
+        shots = sample(mixed_table(), 0, seed=1, batches=batches)
+        assert shots.shape == (0,) and shots.dtype == np.uint8
 
 
 def test_same_seed_reproduces_the_stream():
@@ -55,7 +56,7 @@ def test_different_seeds_differ():
 
 def test_degenerate_table_always_draws_the_certain_cell():
     shots = sample(degenerate_table(), 50, seed=7)
-    assert shots.shape == (50, 2)
+    assert shots.shape == (50,)
     assert (shots == 0).all()
 
 
@@ -99,8 +100,9 @@ def test_report_counts_match_frequencies():
 
 
 def test_report_rejects_out_of_range_records():
-    # Float slots are refused, not truncated to the cells (0, 0) and (2, 1).
-    for shots in (np.array([[5, 0]]), np.array([[0.9, 0.2], [2.7, 1.5]])):
+    # A 3x3 table has cells 0-8. Float cells are refused, not truncated to
+    # the cells 0 and 7, and so is an (n, 2) array of slot pairs.
+    for shots in (np.array([9]), np.array([0.9, 7.5]), np.array([[2, 0]])):
         with pytest.raises(ShapeMismatchError):
             empirical_report(shots, mixed_table())
 
@@ -110,7 +112,7 @@ def test_batched_stream_is_deterministic_and_seed_dependent():
     a = sample(table, 1001, seed=42, batches=4)
     b = sample(table, 1001, seed=42, batches=4)
     assert np.array_equal(a, b)
-    assert a.shape == (1001, 2)
+    assert a.shape == (1001,)
     assert not np.array_equal(sample(table, 1001, seed=42, batches=2), a)
 
 
@@ -139,7 +141,7 @@ def test_csv_export(tmp_path):
 
 def test_zero_shot_csv_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_shot_csv(np.empty((0, 2), dtype=np.int64), mixed_table(), path)
+    write_shot_csv(np.empty(0, dtype=np.uint8), mixed_table(), path)
     assert path.read_text().splitlines() == [
         "shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue"
     ]
@@ -148,7 +150,7 @@ def test_zero_shot_csv_is_header_only(tmp_path):
 def test_batch_loop_is_bounded_by_the_shots():
     table = mixed_table()
     shots = sample(table, 5, seed=1, batches=10**12)
-    assert shots.shape == (5, 2)
+    assert shots.shape == (5,)
     assert np.array_equal(shots, sample(table, 5, seed=1, batches=5))
 
 

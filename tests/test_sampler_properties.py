@@ -86,16 +86,17 @@ def reference_stream(table, n, seed, batches):
         size = base + (1 if b < remainder else 0)
         if size:
             chunks.append(sample(table, size, derive_batch_seed(seed, b)))
-    return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
 
 
 def reference_csv(shots, table) -> bytes:
-    """One ``csv.writer`` row per shot."""
+    """One ``csv.writer`` row per shot, its slots read from its cell by ``divmod``."""
     left_values, right_values = table.left_spectrum, table.right_spectrum
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["shot", "left_slot", "left_eigenvalue", "right_slot", "right_eigenvalue"])
-    for k, (ls, rs) in enumerate(shots.tolist()):
+    for k, cell in enumerate(shots.tolist()):
+        ls, rs = divmod(cell, len(right_values))
         writer.writerow([k, ls, f"{left_values[ls]:.15g}", rs, f"{right_values[rs]:.15g}"])
     return buffer.getvalue().encode("utf-8")
 
@@ -106,8 +107,8 @@ def test_counts_equal_a_per_row_counter(run, draw_block):
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
     expected = np.zeros(table.shape, dtype=np.int64)
-    for (i, j), count in collections.Counter(map(tuple, shots.tolist())).items():
-        expected[i, j] = count
+    for cell, count in collections.Counter(shots.tolist()).items():
+        expected[divmod(cell, table.shape[1])] = count
     with blocks(_DRAW_BLOCK=draw_block):
         report = empirical_report(shots, table)
     assert np.array_equal(report.counts, expected)
@@ -142,32 +143,31 @@ def test_csv_bytes_at_the_default_chunk_size(tmp_path):
 def test_batched_stream_is_the_concatenation_of_per_batch_draws(run):
     table, n, seed, batches = run
     shots = sample(table, n, seed, batches=batches)
-    assert shots.shape == (n, 2) and shots.dtype == np.int64
+    assert shots.shape == (n,) and shots.dtype == np.uint8
     assert np.array_equal(shots, reference_stream(table, n, seed, batches))
 
 
 @SETTINGS
 @given(runs(), BLOCK, st.data())
 def test_out_of_range_slots_are_rejected(run, draw_block, data):
+    # A negative cell or one at or past the table's size, anywhere in the stream.
     table, n, seed, batches = run
-    shots = sample(table, n, seed, batches=batches)
-    side = data.draw(st.sampled_from((0, 1)))
-    size = table.shape[side]
+    shots = sample(table, n, seed, batches=batches).astype(np.int64)
+    size = table.probabilities.size
     bad = data.draw(st.one_of(st.integers(-size - 5, -1), st.integers(size, size + 5)))
-    row = data.draw(st.integers(0, n))
-    shots = np.insert(shots, row, [0, 0], axis=0)
-    shots[row, side] = bad
+    shots = np.insert(shots, data.draw(st.integers(0, n)), bad)
     with blocks(_DRAW_BLOCK=draw_block), pytest.raises(ShapeMismatchError):
         empirical_report(shots, table)
 
 
-@pytest.mark.parametrize("bad", [3, -1])
-@pytest.mark.parametrize("side", [0, 1])
-def test_a_bad_slot_in_the_last_partial_block_is_rejected(tmp_path, monkeypatch, side, bad):
-    # 23 shots are three blocks of 7 and one of 2; the bad slot is the last shot.
+@pytest.mark.parametrize("bad", [-3, -1, 9, 255])
+def test_a_bad_slot_in_the_last_partial_block_is_rejected(tmp_path, monkeypatch, bad):
+    # 23 shots are three blocks of 7 and one of 2; the bad cell of the 3x3
+    # table (cells 0-8) is the last shot. 9 is the first cell past the end,
+    # and 255 the largest the uint8 that sample returns can hold.
     table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
-    shots = sample(table, 23, seed=4)
-    shots[-1, side] = bad
+    shots = sample(table, 23, seed=4).astype(np.int64)
+    shots[-1] = bad
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", 7)
     with pytest.raises(ShapeMismatchError):
         empirical_report(shots, table)
@@ -218,10 +218,17 @@ def test_threshold_count_equals_a_clipped_searchsorted(cdf, data):
 
 
 def test_negative_right_slot_is_not_read_as_another_cell(tmp_path):
-    # A flattened index would count [1, -1] on a 3x3 table as cell (0, 2).
-    # Float slots would be truncated to a cell, so they are refused too.
+    # A negative cell is refused, not wrapped round to a cell at the end of
+    # the table. Float cells would be truncated to a cell, so they are refused
+    # too, as are 2-D arrays: an (n, 2) slot array, even one whose slots fit
+    # the table, and a column of cells.
     table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
-    for shots in (np.array([[1, -1]]), np.array([[0.9, 0.2], [2.7, 1.5]])):
+    for shots in (
+        np.array([0, -1]),
+        np.array([0.9, 7.5]),
+        np.array([[1, 2], [0, 0]]),
+        np.array([[3], [4]]),
+    ):
         with pytest.raises(ShapeMismatchError):
             empirical_report(shots, table)
         with pytest.raises(ShapeMismatchError):
