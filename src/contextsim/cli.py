@@ -77,7 +77,7 @@ def _round15(obj):
 def _emit(payload: dict, out: str | None) -> None:
     # allow_nan=False: a non-finite value is a ValueError (exit 1), never Infinity/NaN JSON.
     text = json.dumps(_round15(payload), indent=2, allow_nan=False) + "\n"
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -89,6 +89,12 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse spectrum {text!r}; expected comma-separated reals") from None
+
+
+def _spectrum(text: str | None, dim: int, first: int) -> tuple[float, ...]:
+    """The spectrum a --left/--right flag gives: ``first, ..., first + dim - 1``
+    when the flag is absent."""
+    return tuple(float(k) for k in range(first, first + dim)) if text is None else _parse_spectrum(text)
 
 
 def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
@@ -123,27 +129,25 @@ def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
 def _basis_context(entries, spectrum: str | None, first: int, label: str) -> ContextOperator:
     """A custom basis's context at ``spectrum`` (default: first, first + 1, ...)."""
     rays = _parse_basis(entries)
-    default = tuple(float(k) for k in range(first, first + len(rays)))
-    return context_from_basis(rays, default if spectrum is None else _parse_spectrum(spectrum), label=label)
+    return context_from_basis(rays, _spectrum(spectrum, len(rays), first), label=label)
 
 
 def _contexts(args) -> tuple[list[ContextOperator], Scenario | None]:
     """The contexts the flags name, and their scenario (None for 'custom').
 
-    A named scenario gives its pair at --left/--right (default: its own
-    spectra) and takes no --basis-file. A basis file gives its
-    'left'/'right' pair at --left/--right (default: 1..d and d+1..2d) or,
-    for ``states`` only, every basis of its 'contexts' list at 1..d, where
-    --left and --right are an error.
+    A named scenario, or a basis file's 'left'/'right' pair, is built at
+    --left/--right (default: 1..d and d+1..2d); a named scenario takes no
+    --basis-file. For ``states`` only, a basis file may instead hold a
+    'contexts' list, each basis at 1..d, where --left and --right are an
+    error.
     """
     if args.scenario != "custom":
         if args.basis_file is not None:
             raise ValueError("--basis-file applies only to --scenario custom")
         scenario = get_scenario(args.scenario)
-        left = scenario.default_left if args.left is None else _parse_spectrum(args.left)
-        right = scenario.default_right if args.right is None else _parse_spectrum(args.right)
-        return list(scenario.contexts(left, right)), scenario
-    if not args.basis_file:
+        d = scenario.dim
+        return list(scenario.contexts(_spectrum(args.left, d, 1), _spectrum(args.right, d, d + 1))), scenario
+    if args.basis_file is None:
         raise ValueError("scenario 'custom' requires --basis-file")
     with open(args.basis_file, encoding="utf-8") as handle:
         try:
@@ -231,9 +235,9 @@ def cmd_joint(args) -> dict:
     table = joint_distribution(state, a, b)
     exact, closed = _checked_expectation(state, a, b, scenario, table)
     uniqueness = verify_uniqueness(table, tol=args.tol)
-    if scenario is None and not args.forbidden:
+    if scenario is None and args.forbidden is None:
         raise ValueError("scenario 'custom' requires an explicit --forbidden list")
-    forbidden = _parse_forbidden(args.forbidden) if args.forbidden else scenario.forbidden_cells
+    forbidden = scenario.forbidden_cells if args.forbidden is None else _parse_forbidden(args.forbidden)
     criterion = contextuality_criterion(table, forbidden)
     return {
         "command": "joint",
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_path(args) -> str:
-    return args.csv or str(Path(args.out).with_suffix(".csv"))
+    return str(Path(args.out).with_suffix(".csv")) if args.csv is None else args.csv
 
 
 def _is_report_file(path: str, out: str | None) -> bool:
@@ -397,7 +401,7 @@ def _is_report_file(path: str, out: str | None) -> bool:
     to it; a shared device or pipe (``/dev/null``) is not the report's."""
     try:
         target = os.stat(path)
-        report = os.stat(out) if out else os.fstat(sys.stdout.fileno())
+        report = os.stat(out) if out is not None else os.fstat(sys.stdout.fileno())
         return stat.S_ISREG(target.st_mode) and os.path.samestat(target, report)
     except (OSError, ValueError):
         # A file that does not exist yet (or a stdout with no descriptor) is
@@ -408,11 +412,14 @@ def _is_report_file(path: str, out: str | None) -> bool:
 def _check_flags(args) -> None:
     """Checks on flags alone, before any work; ``sample`` leaves its
     ``--shots``, ``--seed`` and ``--batches`` ranges to the library."""
+    for flag, path in (("--out", args.out), ("--csv", getattr(args, "csv", None)), ("--basis-file", args.basis_file)):
+        if path == "":
+            raise ValueError(f"{flag} needs a file path, not an empty string")
     if args.command in ("joint", "sample") and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError("--tol must be finite and nonnegative")
     if args.command != "sample":
         return
-    if not (args.csv or args.out):
+    if args.csv is None and args.out is None:
         raise ValueError("sample needs --csv or --out to name the shot CSV")
     if _is_report_file(_csv_path(args), args.out):
         raise ValueError(f"the shot CSV and the JSON report would share {_csv_path(args)}; give --csv another path")

@@ -22,9 +22,6 @@ Spectrum = Sequence[float]
 class Scenario:
     name: str
     dim: int
-    description: str
-    default_left: tuple[float, ...]
-    default_right: tuple[float, ...]
     forbidden_cells: tuple[tuple[int, int], ...]
     _left_builder: Callable[..., ContextOperator]
     _right_builder: Callable[..., ContextOperator]
@@ -50,46 +47,34 @@ def _complement(dim: int, support: set[tuple[int, int]]) -> tuple[tuple[int, int
     )
 
 
-SCENARIOS: dict[str, Scenario] = {
-    "ks-collinear": Scenario(
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario(
         name="ks-collinear",
         dim=3,
-        description="same tripod context on both spin-1 particles; outcomes pair up slot by slot",
-        default_left=(1.0, 2.0, 3.0),
-        default_right=(4.0, 5.0, 6.0),
         forbidden_cells=_complement(3, {(0, 0), (1, 1), (2, 2)}),
         _left_builder=ks_context,
         _right_builder=ks_context,
         closed_form=lambda l, r: (l[0] * r[0] + l[1] * r[1] + l[2] * r[2]) / 3.0,
     ),
-    "ks-mixed": Scenario(
+    Scenario(
         name="ks-mixed",
         dim=3,
-        description="the two tripod contexts sharing one ray, one per particle",
-        default_left=(1.0, 2.0, 3.0),
-        default_right=(4.0, 5.0, 6.0),
         forbidden_cells=((0, 1), (0, 2), (1, 0), (2, 0)),
         _left_builder=ks_context,
         _right_builder=ks_context_prime,
         closed_form=lambda l, r: (2.0 * l[0] * r[0] + (l[1] + l[2]) * (r[1] + r[2])) / 6.0,
     ),
-    "dim4-collinear-C": Scenario(
+    Scenario(
         name="dim4-collinear-C",
         dim=4,
-        description="the diagonal four-outcome context on both spin-3/2 particles",
-        default_left=(1.0, 2.0, 3.0, 4.0),
-        default_right=(5.0, 6.0, 7.0, 8.0),
         forbidden_cells=_complement(4, {(0, 3), (1, 2), (2, 1), (3, 0)}),
         _left_builder=_build_c,
         _right_builder=_build_c,
         closed_form=lambda l, r: (l[0] * r[3] + l[1] * r[2] + l[2] * r[1] + l[3] * r[0]) / 4.0,
     ),
-    "dim4-collinear-Cprime": Scenario(
+    Scenario(
         name="dim4-collinear-Cprime",
         dim=4,
-        description="the rotated four-outcome context on both particles; outcomes pair up in 2x2 blocks",
-        default_left=(1.0, 2.0, 3.0, 4.0),
-        default_right=(5.0, 6.0, 7.0, 8.0),
         forbidden_cells=_complement(
             4,
             {(i, j) for i in (0, 1) for j in (2, 3)} | {(i, j) for i in (2, 3) for j in (0, 1)},
@@ -98,18 +83,15 @@ SCENARIOS: dict[str, Scenario] = {
         _right_builder=_build_c_prime,
         closed_form=lambda l, r: ((l[0] + l[1]) * (r[2] + r[3]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
     ),
-    "dim4-mixed": Scenario(
+    Scenario(
         name="dim4-mixed",
         dim=4,
-        description="the two four-outcome contexts sharing two rays, one per particle",
-        default_left=(1.0, 2.0, 3.0, 4.0),
-        default_right=(5.0, 6.0, 7.0, 8.0),
         forbidden_cells=((2, 2), (2, 3), (3, 2), (3, 3)),
         _left_builder=_build_c,
         _right_builder=_build_c_prime,
         closed_form=lambda l, r: (2.0 * (l[0] * r[3] + l[1] * r[2]) + (l[2] + l[3]) * (r[0] + r[1])) / 8.0,
     ),
-}
+)}
 
 
 def get_scenario(name: str) -> Scenario:

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/shot_memory.py
 
-Draws 10^6 shots from the dim4-mixed table (4x4) with ``sample``, tallies
-them with ``empirical_report`` and writes their CSV to the null device with
-``write_shot_csv``. Each stage runs once on a few shots as a warm-up, then
+Draws 10^6 shots from the dim4-mixed table (4x4, spectra 1..4 and 5..8)
+with ``sample``, tallies them with ``empirical_report`` and writes their CSV
+to the null device with ``write_shot_csv``. Each stage runs once on a few shots as a warm-up, then
 once at full size under ``tracemalloc``, which also sees numpy's array
 buffers. A stage's extra memory is its traced peak less what was traced
 when it began; for ``sample`` that includes its (n,) uint8 result of table
@@ -27,7 +27,7 @@ MiB = 1 << 20
 
 def dim4_table():
     scenario = SCENARIOS["dim4-mixed"]
-    return joint_distribution(scenario.state(), *scenario.contexts(scenario.default_left, scenario.default_right))
+    return joint_distribution(scenario.state(), *scenario.contexts((1, 2, 3, 4), (5, 6, 7, 8)))
 
 
 def _stages(table, n):

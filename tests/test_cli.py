@@ -27,6 +27,7 @@ RAY_100 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 RAY_010 = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 RAY_001 = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 BASIS_3 = [RAY_100, RAY_010, RAY_001]
+GOLDEN_D3_BASIS = Path(__file__).resolve().parent / "golden" / "custom-d3-basis.json"
 
 
 def test_expectation_ks_collinear(capsys):
@@ -360,6 +361,28 @@ def test_an_empty_spectrum_is_rejected_not_read_as_the_default(tmp_path, capsys,
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: cannot parse spectrum ''; expected comma-separated reals"
         ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expectation", "--scenario", "ks-mixed", "--out="], "--out needs a file path, not an empty string"),
+        (["sample", "--scenario", "ks-mixed", "--shots", "3", "--out", "r.json", "--csv="],
+         "--csv needs a file path, not an empty string"),
+        (["states", "--scenario", "custom", "--basis-file="], "--basis-file needs a file path, not an empty string"),
+        (["joint", "--scenario", "ks-mixed", "--forbidden="], "cannot parse forbidden cell ''; expected 'left,right'"),
+        # An empty list was given, so the error names it and does not ask for one.
+        (["joint", "--scenario", "custom", "--basis-file", str(GOLDEN_D3_BASIS), "--forbidden="],
+         "cannot parse forbidden cell ''; expected 'left,right'"),
+    ],
+)
+def test_an_empty_path_or_cell_flag_is_rejected_not_read_as_absent(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_states_rejects_an_empty_contexts_list(tmp_path, capsys):

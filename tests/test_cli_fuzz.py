@@ -1,10 +1,10 @@
 """Fuzz the command-line contract in-process.
 
 Every command, over the named scenarios and ``custom``, runs with drawn
-spectra, ``--tol``, ``--shots``, ``--batches``, ``--forbidden`` and basis
-files. Whatever the input, ``cli.main`` must exit 0, 1 or 3 without a
-traceback, write nothing to stderr on success, and write exactly one stderr
-line on failure.
+spectra, ``--tol``, ``--shots``, ``--batches``, ``--forbidden``, output
+paths (empty ones included) and basis files. Whatever the input,
+``cli.main`` must exit 0, 1 or 3 without a traceback, write nothing to
+stderr on success, and write exactly one stderr line on failure.
 """
 
 import contextlib
@@ -129,7 +129,9 @@ def invocations(draw):
         argv.append(f"--forbidden={draw(FORBIDDEN)}")
     if command == "sample":
         argv += [f"--shots={draw(SHOTS)}", f"--batches={draw(st.integers(-2, 10**6))}"]
-        argv += draw(st.sampled_from((["--out", "{tmp}/report.json"], ["--csv", "{tmp}/shots.csv"], [])))
+        argv += draw(st.sampled_from(
+            (["--out", "{tmp}/report.json"], ["--csv", "{tmp}/shots.csv"], [], ["--out="], ["--csv="])
+        ))
     if scenario == "custom":
         basis = draw(st.one_of(basis_files(d), basis_files(d), st.sampled_from((None, "missing"))))
     else:

@@ -34,7 +34,8 @@ def test_each_side_builds_exactly_one_context(monkeypatch, name):
 
     monkeypatch.setattr(ContextOperator, "__post_init__", counting)
     scenario = SCENARIOS[name]
-    pair = scenario.contexts(scenario.default_left, scenario.default_right)
+    d = scenario.dim
+    pair = scenario.contexts(tuple(range(1, d + 1)), tuple(range(d + 1, 2 * d + 1)))
     assert len(built) == 2
     assert all(c is p for c, p in zip(built, pair))
 
