@@ -10,7 +10,8 @@ Three 10^6-shot sample runs are pinned by the SHA-256 of their JSON report
 and shot CSV instead of by committed bytes. The digests were recorded with
 the binary-search (``np.searchsorted``) draw and the 2-D uint8 CSV
 rendering, so they check that the threshold-count draw and the fixed-width
-byte records reproduce the same streams and files.
+byte records reproduce the same streams and files. Two large ``states``
+reports are pinned the same way, by the SHA-256 of their JSON.
 """
 
 import contextlib
@@ -30,6 +31,15 @@ BASIS_FILE = GOLDEN / "custom-d3-basis.json"
 # set in d = 4 (Phys. Lett. A 212, 183 (1996)), rays normalized: its diagram
 # has no two-valued state.
 KS18_FILE = GOLDEN / "custom-ks18-basis.json"
+# Peres' 33 rays in d = 3 (J. Phys. A 24, L175 (1991)) as their 16
+# orthogonal triads: 33 atoms, 9 link atoms, 3072 two-valued states.
+PERES_FILE = GOLDEN / "custom-peres-basis.json"
+# A chain of ten random d = 4 bases, each sharing its last ray with the
+# first ray of the next: 31 atoms, 9 link atoms, 11,482 two-valued states.
+# Each basis is the QR factor of a complex Gaussian matrix drawn from
+# np.random.default_rng(1), its first column set to the previous basis's
+# last ray.
+CHAIN_FILE = GOLDEN / "custom-chain10-basis.json"
 COMMANDS = ("expectation", "joint", "sample", "states", "sequential")
 SPECTRA = {
     3: ["--left=-1.5,0.25,7", "--right=2,-3,0.5"],
@@ -83,6 +93,20 @@ HASHED_CASES = {
 }
 
 
+# name: (argv, SHA-256 of the JSON report), recorded before the diagram
+# held its blocks as one index array.
+HASHED_STATES = {
+    "states-custom-peres": (
+        ["states", "--scenario", "custom", "--basis-file", str(PERES_FILE)],
+        "db2027dbda3bd67f266a32dc351a0631c7ca2d72039a88c3ed1c176a8dc7849a",
+    ),
+    "states-custom-chain10": (
+        ["states", "--scenario", "custom", "--basis-file", str(CHAIN_FILE)],
+        "cf2afad9f828b1f470005a638cf4e6dc7e19d927ffebcfdcc15777f39c78e33d",
+    ),
+}
+
+
 def render(name: str, argv: list[str], tmp: Path) -> dict[str, bytes]:
     """Run one case; return its output bytes keyed by fixture file name.
 
@@ -114,6 +138,13 @@ def test_million_shot_output_hashes(name, tmp_path):
     rendered = render(name, argv, tmp_path)
     assert hashlib.sha256(rendered[f"{name}.json"]).hexdigest() == json_digest
     assert hashlib.sha256(rendered[f"{name}.csv"]).hexdigest() == csv_digest
+
+
+
+@pytest.mark.parametrize("name", sorted(HASHED_STATES))
+def test_large_states_report_hashes(name, tmp_path):
+    argv, digest = HASHED_STATES[name]
+    assert hashlib.sha256(render(name, argv, tmp_path)[f"{name}.json"]).hexdigest() == digest
 
 
 if __name__ == "__main__":

@@ -1,16 +1,20 @@
 """Tests for orthogonality diagrams and two-valued-state enumeration."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from golden_drift import compare
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextsim import greechie
+from contextsim import cli, greechie
 from contextsim.errors import DimensionMismatchError, ZeroVectorError
 from contextsim.greechie import (
     Atom,
@@ -456,3 +460,69 @@ def test_state_bits_rows_are_in_lexicographic_order():
         assert [dict(zip(diagram.atom_ids(), row)) for row in bits.tolist()] == brute_force_states(diagram)
         several += len(bits) > 1
     assert several > 250
+
+
+@st.composite
+def sharing_pairs(draw):
+    """A random d = 3 or 4 left basis, and a right basis that keeps k of its
+    rays (0 <= k < d), each times a random phase, mixes the other d - k by a
+    random unitary and lists its rays in random order. Mixing a single ray
+    keeps it, so k = d - 1 shares all d rays. Every shared ray matches up to
+    roundoff and every other pair misses RAY_MATCH_TOL by far, so no draw
+    lies near the ray-match threshold."""
+    d = draw(st.sampled_from((3, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, d - 1))
+    left = random_unitary(rng, d)
+    right = left.copy()
+    right[:, :k] *= np.exp(2j * math.pi * rng.uniform(size=k))
+    right[:, k:] = right[:, k:] @ random_unitary(rng, d - k)
+    return left.T, right.T[rng.permutation(d)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sharing_pairs())
+def test_states_report_equals_the_oracles_and_its_link_atoms_are_perfect(pair):
+    left, right = pair
+    d = len(left)
+    payload = {side: [cli._ray_pairs(r) for r in rays] for side, rays in zip(("left", "right"), pair)}
+    with tempfile.TemporaryDirectory() as tmp:
+        basis = Path(tmp) / "pair.json"
+        basis.write_text(json.dumps(payload), encoding="utf-8")
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([*argv, "--scenario", "custom", "--basis-file", str(basis)]) == cli.EXIT_OK
+            return json.loads(out.getvalue())
+
+        report = run("states")
+        contexts = [
+            context_from_basis([[complex(*z) for z in ray] for ray in payload[side]], range(1, d + 1))
+            for side in ("left", "right")
+        ]
+        atoms, blocks = first_match_oracle(contexts)
+        oracle = GreechieDiagram(atoms=tuple(atoms), blocks=tuple(blocks), dim=d)
+        states = [TwoValuedState(a) for a in brute_force_states(oracle)]
+        witness = pairwise_scan_witness(states, oracle)
+        counts = {a.id: sum(a.id in block for block in blocks) for a in atoms}
+        expected = {
+            "command": "states",
+            "scenario": "custom",
+            "dim": d,
+            "atoms": [{"id": a.id, "ray": cli._ray_pairs(a.ray)} for a in atoms],
+            "blocks": [list(block) for block in blocks],
+            "link_atoms": [a.id for a in atoms if counts[a.id] >= 2],
+            "state_count": len(states),
+            "two_valued_states": [s.assignment for s in states],
+            "separating": witness is None,
+            "inseparable_pair": None if witness is None else list(witness),
+        }
+        # The report prints floats at 15 significant digits.
+        errors = []
+        compare(expected, report, "states", [], errors)
+        assert errors == []
+        for atom in report["link_atoms"]:
+            sequential = run("sequential", "--prepare-slot", str(blocks[0].index(atom)))
+            assert sequential["link_slot"] == blocks[1].index(atom)
+            assert sequential["perfect_link_correlation"] is True
