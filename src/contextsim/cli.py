@@ -315,9 +315,9 @@ def cmd_sequential(args) -> dict:
         raise ValueError(f"--prepare-slot must be in [0, {a.dim})")
     prepared = a.basis[args.prepare_slot]
     distribution = sequential_link_test(prepared, b)
+    # The ray match that merges atoms in `states` also decides the link here.
     link = _overlap_match(b.units, a.units[[args.prepare_slot]])[:, 0]
     link_slot = int(link.argmax()) if link.any() else None
-    perfect = link_slot is not None and distribution[link_slot][1] >= 1.0 - CLOSED_FORM_TOL
     return {
         "command": "sequential",
         "scenario": args.scenario,
@@ -330,7 +330,7 @@ def cmd_sequential(args) -> dict:
             for k, (lam, p) in enumerate(distribution)
         ],
         "link_slot": link_slot,
-        "perfect_link_correlation": perfect,
+        "perfect_link_correlation": link_slot is not None,
     }
 
 

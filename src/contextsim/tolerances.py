@@ -7,7 +7,7 @@ constant bounds and whether the bound is absolute or scaled (multiplied by
 the named scale before the comparison).
 """
 
-# Expectation vs closed form and vs table contraction, scaled by max(1, max|λ|·max|μ|); absolute as a link probability's shortfall from 1.
+# Expectation vs closed form and vs table contraction; scaled by max(1, max|λ|·max|μ|).
 CLOSED_FORM_TOL = 1e-9
 # Default support threshold: a table cell at or below it counts as empty; absolute.
 SUPPORT_THRESHOLD = 1e-10

@@ -229,6 +229,29 @@ def test_sequential_finds_the_link_ray_up_to_a_phase(tmp_path, capsys):
     assert probs == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
 
+def test_sequential_and_states_agree_on_a_link_just_inside_the_ray_match(tmp_path, capsys):
+    # The right basis turns the (e1, e2) plane so that 1 - |<u,v>| = 5e-9:
+    # within RAY_MATCH_TOL, so the two bases are one diagram of three link
+    # atoms, while the two turned links have probability 0.99999999, short
+    # of 1 by more than 1e-9.
+    t = np.arccos(1.0 - 5e-9)
+    right = np.array([[np.cos(t), np.sin(t), 0], [-np.sin(t), np.cos(t), 0], [0, 0, 1]], dtype=complex)
+    basis = write_basis_file(
+        tmp_path / "b.json", {"left": BASIS_3, "right": [cli._ray_pairs(r) for r in right]}
+    )
+    code, states = run_cli(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+    assert code == 0
+    assert states["link_atoms"] == ["a0", "a1", "a2"]
+    for slot, probability in enumerate((0.99999999, 0.99999999, 1.0)):
+        code, data = run_cli(
+            capsys, "sequential", "--scenario", "custom", "--basis-file", basis, "--prepare-slot", str(slot)
+        )
+        assert code == 0
+        assert data["link_slot"] == slot
+        assert data["perfect_link_correlation"] is True
+        assert data["distribution"][slot]["probability"] == pytest.approx(probability, abs=1e-14)
+
+
 def test_sequential_without_a_shared_ray_reports_no_link(tmp_path, capsys):
     # The right basis is the 3-point Fourier basis: every ray meets every
     # standard ray with overlap 1/sqrt3, so no slot is a link.
