@@ -27,7 +27,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .greechie import (
-    Atom,
     GreechieDiagram,
     TwoValuedState,
     diagram_from_contexts,

@@ -33,41 +33,50 @@ MEMO_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
-class Atom:
-    id: str
-    ray: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class GreechieDiagram:
-    """Atoms plus equal-size blocks; block size is the Hilbert dimension."""
+    """Atom ids plus equal-size blocks; block size is the Hilbert dimension.
 
-    atoms: tuple[Atom, ...]
-    blocks: tuple[tuple[str, ...], ...]
+    ``blocks`` is one read-only (blocks, dim) intp array: row b holds the
+    indices into ``atom_ids`` of block b's atoms. It may be given as any
+    sequence of rows of Python ints, or as an integer array. ``rays`` holds
+    each atom's ray as one read-only (atoms, dim) complex array, or is None
+    for a hand-built diagram; a given array is copied, not frozen.
+    """
+
+    atom_ids: tuple[str, ...]
+    blocks: np.ndarray
     dim: int
+    rays: np.ndarray | None = None
 
     def __post_init__(self):
-        ids = [a.id for a in self.atoms]
-        if len(set(ids)) != len(ids):
+        n = len(self.atom_ids)
+        if len(set(self.atom_ids)) != n:
             raise ValueError("duplicate atom ids")
-        known = set(ids)
-        for block in self.blocks:
+        # Checked as Python ints: numpy would wrap a negative index and
+        # read True as 1.
+        rows = self.blocks.tolist() if isinstance(self.blocks, np.ndarray) else self.blocks
+        for block in rows:
             if len(block) != self.dim:
                 raise ValueError(f"block {block} does not have {self.dim} atoms")
+            if not all(type(k) is int and 0 <= k < n for k in block):
+                raise ValueError(f"block {block} holds an entry that is not an atom index in [0, {n})")
             if len(set(block)) != self.dim:
                 raise ValueError(f"block {block} repeats an atom")
-            missing = set(block) - known
-            if missing:
-                raise ValueError(f"block references unknown atoms {sorted(missing)}")
+        blocks = np.array(rows, dtype=np.intp).reshape(len(rows), self.dim)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+        if self.rays is not None:
+            rays = np.array(self.rays, dtype=complex)
+            if rays.shape != (n, self.dim):
+                raise ValueError(f"rays have shape {rays.shape}, not ({n}, {self.dim})")
+            rays.setflags(write=False)
+            object.__setattr__(self, "rays", rays)
         if self.dim == 2:
             warnings.warn(
                 "dimension-2 blocks form isolated Boolean sublogics with no shared "
                 "observables; accepted for negative tests only",
                 stacklevel=3,
             )
-
-    def atom_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.atoms)
 
     @functools.cached_property
     def state_bits(self) -> np.ndarray:
@@ -81,13 +90,11 @@ class GreechieDiagram:
         block double the rows. Sorting each row as one n-byte record then
         restores the lexicographic order.
         """
-        index = {atom_id: k for k, atom_id in enumerate(self.atom_ids())}
-        n = len(index)
+        n = len(self.atom_ids)
         unit = np.eye(n, dtype=np.uint8)
         rows = np.zeros((1, n), dtype=np.uint8)
         placed = np.zeros(n, dtype=bool)
-        for block in self.blocks:
-            atoms = np.array([index[a] for a in block])
+        for atoms in self.blocks:
             ones = rows[:, atoms].sum(axis=1)
             grown = rows[ones == 0][:, None, :] | unit[atoms[~placed[atoms]]]
             rows = np.concatenate([rows[ones == 1], grown.reshape(-1, n)])
@@ -194,24 +201,22 @@ def _diagram(ray_sets: tuple[RaySet, ...]) -> GreechieDiagram:
     units = np.vstack([r.units for r in ray_sets])
     match = _overlap_match(units, units).tolist()
     firsts: list[int] = []  # the ray that opened each atom
-    ids: list[str] = []
+    atoms: list[int] = []  # the atom of each ray
     for k in range(len(match)):
         atom = next((m for m, first in enumerate(firsts) if match[first][k]), len(firsts))
         if atom == len(firsts):
             firsts.append(k)
-        ids.append(f"a{atom}")
-    atoms = tuple(Atom(id=f"a{m}", ray=ray_sets[k // dim].basis[k % dim]) for m, k in enumerate(firsts))
-    blocks = tuple(tuple(ids[c * dim : (c + 1) * dim]) for c in range(len(ray_sets)))
-    return GreechieDiagram(atoms=atoms, blocks=blocks, dim=dim)
+        atoms.append(atom)
+    rays = np.vstack([r.basis for r in ray_sets])[firsts]
+    ids = tuple(f"a{m}" for m in range(len(firsts)))
+    blocks = [atoms[k : k + dim] for k in range(0, len(atoms), dim)]
+    return GreechieDiagram(atom_ids=ids, blocks=blocks, dim=dim, rays=rays)
 
 
 def link_atoms(diagram: GreechieDiagram) -> list[str]:
     """Atoms appearing in two or more blocks, in atom order."""
-    counts = {a.id: 0 for a in diagram.atoms}
-    for block in diagram.blocks:
-        for atom_id in block:
-            counts[atom_id] += 1
-    return [a.id for a in diagram.atoms if counts[a.id] >= 2]
+    counts = np.bincount(diagram.blocks.ravel(), minlength=len(diagram.atom_ids))
+    return [diagram.atom_ids[k] for k in np.flatnonzero(counts >= 2).tolist()]
 
 
 def two_valued_states(diagram: GreechieDiagram) -> TwoValuedStates:
@@ -222,7 +227,7 @@ def two_valued_states(diagram: GreechieDiagram) -> TwoValuedStates:
     deterministic. No state is built until it is read. The empty sequence
     is a valid outcome.
     """
-    return TwoValuedStates(diagram.atom_ids(), diagram.state_bits)
+    return TwoValuedStates(diagram.atom_ids, diagram.state_bits)
 
 
 def is_separating(
@@ -238,7 +243,7 @@ def is_separating(
     :class:`TwoValuedStates` view over the diagram's atom ids lends its
     matrix as it is; any other sequence of states is read into one.
     """
-    ids = diagram.atom_ids()
+    ids = diagram.atom_ids
     if len(ids) < 2:
         return True, None
     if isinstance(states, TwoValuedStates) and states.atom_ids == ids:
@@ -258,18 +263,15 @@ def is_separating(
 
 
 def diagram_to_dict(diagram: GreechieDiagram) -> dict:
-    """The diagram as the ``states`` report prints it: atoms carry optional
-    rays as [re, im] pair lists."""
+    """The diagram as the ``states`` report prints it: each atom carries its
+    ray as [re, im] pairs, or None, and each block its atom ids."""
+    ids = diagram.atom_ids
+    if diagram.rays is None:
+        rays = [None] * len(ids)
+    else:
+        rays = [[[z.real, z.imag] for z in ray] for ray in diagram.rays.tolist()]
     return {
         "dim": diagram.dim,
-        "atoms": [
-            {
-                "id": atom.id,
-                "ray": None
-                if atom.ray is None
-                else [[float(z.real), float(z.imag)] for z in atom.ray],
-            }
-            for atom in diagram.atoms
-        ],
-        "blocks": [list(block) for block in diagram.blocks],
+        "atoms": [{"id": atom_id, "ray": ray} for atom_id, ray in zip(ids, rays)],
+        "blocks": [[ids[k] for k in block] for block in diagram.blocks.tolist()],
     }

@@ -162,10 +162,10 @@ def test_criterion_6_two_valued_state_counts():
     for name, diagram in (("tripods", tripods), ("two-link", two_link)):
         states = two_valued_states(diagram)
         brute = 0
-        ids = diagram.atom_ids()
+        ids = diagram.atom_ids
         for bits in itertools.product((0, 1), repeat=len(ids)):
             assignment = dict(zip(ids, bits))
-            if all(sum(assignment[a] for a in block) == 1 for block in diagram.blocks):
+            if all(sum(assignment[ids[k]] for k in block) == 1 for block in diagram.blocks.tolist()):
                 brute += 1
         separating, _ = is_separating(states, diagram)
         results[name] = (len(states), brute, separating)

@@ -115,7 +115,7 @@ def test_ray_phases_change_neither_the_table_nor_the_diagram(pair):
 
     rephased = contexts(rephase(left), rephase(right), lam, mu)
     assert np.max(np.abs(joint_distribution(state, *rephased).probabilities - table.probabilities)) <= 1e-12
-    assert diagram_from_contexts(rephased).blocks == diagram.blocks
+    assert np.array_equal(diagram_from_contexts(rephased).blocks, diagram.blocks)
 
 
 @SETTINGS

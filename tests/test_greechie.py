@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from contextsim import cli, greechie
 from contextsim.errors import DimensionMismatchError, ZeroVectorError
 from contextsim.greechie import (
-    Atom,
     GreechieDiagram,
     TwoValuedState,
     diagram_from_contexts,
@@ -34,12 +33,12 @@ KS18_FILE = Path(__file__).parent / "golden" / "custom-ks18-basis.json"
 
 def brute_force_states(diagram):
     """Oracle: scan all 2^n assignments for the exactly-one-per-block rule."""
-    ids = diagram.atom_ids()
+    ids = diagram.atom_ids
+    blocks = diagram.blocks.tolist()
     found = []
     for bits in itertools.product((0, 1), repeat=len(ids)):
-        assignment = dict(zip(ids, bits))
-        if all(sum(assignment[a] for a in block) == 1 for block in diagram.blocks):
-            found.append(assignment)
+        if all(sum(bits[k] for k in block) == 1 for block in blocks):
+            found.append(dict(zip(ids, bits)))
     return found
 
 
@@ -47,9 +46,8 @@ def backtracking_states(diagram):
     """Oracle: backtracking over atoms in diagram order with per-block
     counting. A block may never hold two 1s, and once fully assigned must
     hold exactly one; trying 0 before 1 gives lexicographic order."""
-    ids = diagram.atom_ids()
-    index = {atom_id: k for k, atom_id in enumerate(ids)}
-    blocks = [tuple(index[a] for a in block) for block in diagram.blocks]
+    ids = diagram.atom_ids
+    blocks = diagram.blocks.tolist()
     blocks_of_atom = [[] for _ in ids]
     for b, block in enumerate(blocks):
         for k in block:
@@ -86,7 +84,7 @@ def backtracking_states(diagram):
 def pairwise_scan_witness(states, diagram):
     """Oracle: the first atom pair, scanning pairs in atom order, that no
     state tells apart, or None."""
-    for x, y in itertools.combinations(diagram.atom_ids(), 2):
+    for x, y in itertools.combinations(diagram.atom_ids, 2):
         if not any(s.assignment[x] != s.assignment[y] for s in states):
             return x, y
     return None
@@ -95,9 +93,9 @@ def pairwise_scan_witness(states, diagram):
 def chain_diagram(length):
     """``length`` four-atom blocks, each sharing its last atom with the
     first atom of the next."""
-    atoms = tuple(Atom(id=f"a{k}") for k in range(3 * length + 1))
-    blocks = tuple(tuple(f"a{3 * b + k}" for k in range(4)) for b in range(length))
-    return GreechieDiagram(atoms=atoms, blocks=blocks, dim=4)
+    ids = tuple(f"a{k}" for k in range(3 * length + 1))
+    blocks = [[3 * b + k for k in range(4)] for b in range(length)]
+    return GreechieDiagram(atom_ids=ids, blocks=blocks, dim=4)
 
 
 def ks18_diagram():
@@ -123,19 +121,20 @@ def peres_rays():
 
 
 def first_match_oracle(contexts):
-    """Oracle: atoms and blocks from a pairwise rays_match scan in which each
-    ray joins the first atom it matches."""
-    atoms, blocks = [], []
+    """Oracle: the ray of each atom, and each block as a list of atom
+    indices, from a pairwise rays_match scan in which each ray joins the
+    first atom it matches."""
+    rays, blocks = [], []
     for context in contexts:
         block = []
         for ray in context.basis:
-            atom = next((atom for atom in atoms if rays_match(atom.ray, ray)), None)
+            atom = next((m for m, first in enumerate(rays) if rays_match(first, ray)), None)
             if atom is None:
-                atom = Atom(id=f"a{len(atoms)}", ray=ray)
-                atoms.append(atom)
-            block.append(atom.id)
-        blocks.append(tuple(block))
-    return atoms, blocks
+                atom = len(rays)
+                rays.append(ray)
+            block.append(atom)
+        blocks.append(block)
+    return rays, blocks
 
 
 def random_unitary(rng, d):
@@ -175,10 +174,10 @@ def tilted_contexts(draw):
 @given(tilted_contexts())
 def test_diagram_equals_the_pairwise_first_match_oracle(contexts):
     diagram = diagram_from_contexts(contexts)
-    atoms, blocks = first_match_oracle(contexts)
-    assert diagram.blocks == tuple(blocks)
-    assert [a.id for a in diagram.atoms] == [a.id for a in atoms]
-    assert all(np.array_equal(a.ray, b.ray) for a, b in zip(diagram.atoms, atoms))
+    rays, blocks = first_match_oracle(contexts)
+    assert diagram.blocks.tolist() == blocks
+    assert diagram.atom_ids == tuple(f"a{m}" for m in range(len(rays)))
+    assert np.array_equal(diagram.rays, np.array(rays))
 
 
 def tripod_diagram():
@@ -193,30 +192,29 @@ def two_link_diagram():
 
 def test_tripod_pair_diagram_shape():
     diagram = tripod_diagram()
-    assert len(diagram.atoms) == 5
+    assert len(diagram.atom_ids) == 5
     assert len(diagram.blocks) == 2
     assert link_atoms(diagram) == ["a0"]
-    link = next(a for a in diagram.atoms if a.id == "a0")
-    assert np.allclose(link.ray, [0.0, 1.0, 0.0])
+    assert np.allclose(diagram.rays[diagram.atom_ids.index("a0")], [0.0, 1.0, 0.0])
 
 
 def test_two_link_pair_diagram_shape():
     diagram = two_link_diagram()
-    assert len(diagram.atoms) == 6
+    assert len(diagram.atom_ids) == 6
     assert len(diagram.blocks) == 2
     assert link_atoms(diagram) == ["a2", "a3"]
 
 
 def test_identical_contexts_merge_completely():
     diagram = diagram_from_contexts([ks_context(1, 2, 3), ks_context(1, 2, 3)])
-    assert len(diagram.atoms) == 3
-    assert diagram.blocks[0] == diagram.blocks[1]
+    assert len(diagram.atom_ids) == 3
+    assert np.array_equal(diagram.blocks[0], diagram.blocks[1])
 
 
 def test_diagram_construction_is_idempotent():
     first = tripod_diagram()
     second = tripod_diagram()
-    assert first.blocks == second.blocks
+    assert np.array_equal(first.blocks, second.blocks)
     assert link_atoms(first) == link_atoms(second)
 
 
@@ -232,7 +230,7 @@ def test_ray_merging_is_phase_robust():
             )
             rephased.append(context_from_basis(basis, context.spectrum, label=context.label))
         diagram = diagram_from_contexts(rephased)
-        assert diagram.blocks == reference.blocks
+        assert np.array_equal(diagram.blocks, reference.blocks)
         assert link_atoms(diagram) == link_atoms(reference)
 
 
@@ -276,9 +274,8 @@ def test_single_block_yields_one_state_per_atom():
 
 def test_enumeration_matches_brute_force_on_a_chain_of_blocks():
     # three tripods chained by shared legs
-    atoms = tuple(Atom(id=f"a{k}") for k in range(7))
-    blocks = (("a0", "a1", "a2"), ("a2", "a3", "a4"), ("a4", "a5", "a6"))
-    diagram = GreechieDiagram(atoms=atoms, blocks=blocks, dim=3)
+    ids = tuple(f"a{k}" for k in range(7))
+    diagram = GreechieDiagram(atom_ids=ids, blocks=((0, 1, 2), (2, 3, 4), (4, 5, 6)), dim=3)
     states = two_valued_states(diagram)
     assert len(states) == len(brute_force_states(diagram))
 
@@ -287,15 +284,15 @@ def test_enumeration_matches_brute_force_on_a_chain_of_blocks():
 @given(st.data())
 def test_enumeration_matches_brute_force_on_random_small_diagrams(data):
     dim = data.draw(st.sampled_from((3, 4)))
-    ids = [f"a{k}" for k in range(data.draw(st.integers(dim, 10)))]
-    block = st.lists(st.sampled_from(ids), min_size=dim, max_size=dim, unique=True).map(tuple)
-    blocks = tuple(data.draw(st.lists(block, min_size=1, max_size=5)))
-    diagram = GreechieDiagram(atoms=tuple(Atom(id=i) for i in ids), blocks=blocks, dim=dim)
+    n = data.draw(st.integers(dim, 10))
+    block = st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim, unique=True)
+    blocks = data.draw(st.lists(block, min_size=1, max_size=5))
+    diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n)), blocks=blocks, dim=dim)
     states = two_valued_states(diagram)
     assert [s.assignment for s in states] == brute_force_states(diagram) == backtracking_states(diagram)
     # The view's matrix columns and a hand-built list of the same rows give
     # one verdict, and the view equals the list of its items.
-    hand_built = [TwoValuedState(dict(zip(diagram.atom_ids(), row))) for row in diagram.state_bits.tolist()]
+    hand_built = [TwoValuedState(dict(zip(diagram.atom_ids, row))) for row in diagram.state_bits.tolist()]
     assert is_separating(states, diagram) == is_separating(hand_built, diagram)
     assert states == list(states) == hand_built
     assert len(states) < 2 or states != hand_built[::-1]
@@ -313,7 +310,7 @@ def test_bit_matrix_counts_the_states_of_a_chain_of_fourteen_blocks():
     bits = diagram.state_bits
     assert bits.shape == (390_050, 43)
     for block in diagram.blocks:
-        assert np.all(bits[:, [int(a[1:]) for a in block]].sum(axis=1) == 1)
+        assert np.all(bits[:, block].sum(axis=1) == 1)
     # Each row's bits, first atom most significant, as one integer: strictly
     # increasing keys mean distinct rows in lexicographic order.
     keys = np.pad(np.packbits(bits, axis=1), ((0, 0), (0, 2))).view(">u8").ravel()
@@ -322,7 +319,7 @@ def test_bit_matrix_counts_the_states_of_a_chain_of_fourteen_blocks():
 
 def test_eighteen_ray_kochen_specker_set_has_no_two_valued_state():
     diagram = ks18_diagram()
-    assert (len(diagram.atoms), len(diagram.blocks), len(link_atoms(diagram))) == (18, 9, 18)
+    assert (len(diagram.atom_ids), len(diagram.blocks), len(link_atoms(diagram))) == (18, 9, 18)
     assert backtracking_states(diagram) == []
     states = two_valued_states(diagram)
     assert not states and states == []
@@ -343,14 +340,14 @@ def test_peres_triads_form_a_separating_diagram_with_3072_states():
     # A diagram holds only complete contexts, so the 24 lone orthogonal
     # pairs constrain nothing here.
     diagram = diagram_from_contexts([context_from_basis(units[list(t)], (1, 2, 3)) for t in triads])
-    assert (len(diagram.atoms), len(diagram.blocks), len(link_atoms(diagram))) == (33, 16, 9)
+    assert (len(diagram.atom_ids), len(diagram.blocks), len(link_atoms(diagram))) == (33, 16, 9)
     states = two_valued_states(diagram)
     assert len(states) == 3072
     assert [s.assignment for s in states] == backtracking_states(diagram)
     assert is_separating(states, diagram) == (True, None)
     # Once the lone pairs count, the set is uncolourable: every state gives
     # both rays of some lone pair the value 1.
-    atom = [next(m for m, a in enumerate(diagram.atoms) if rays_match(a.ray, u)) for u in units]
+    atom = [next(m for m, ray in enumerate(diagram.rays) if rays_match(ray, u)) for u in units]
     lone = np.array([(atom[i], atom[j]) for i, j in pairs if (i, j) not in in_a_triad])
     bits = diagram.state_bits
     assert np.all((bits[:, lone[:, 0]] & bits[:, lone[:, 1]]).any(axis=1))
@@ -358,10 +355,8 @@ def test_peres_triads_form_a_separating_diagram_with_3072_states():
 
 def test_unsatisfiable_diagram_yields_no_states():
     # triangle of two-atom blocks: exactly-one-per-edge has no solution
-    atoms = tuple(Atom(id=x) for x in ("a", "b", "c"))
-    blocks = (("a", "b"), ("b", "c"), ("a", "c"))
     with pytest.warns(UserWarning):
-        diagram = GreechieDiagram(atoms=atoms, blocks=blocks, dim=2)
+        diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1), (1, 2), (0, 2)), dim=2)
     assert two_valued_states(diagram) == []
     separating, witness = is_separating([], diagram)
     assert not separating
@@ -379,8 +374,8 @@ def test_named_diagrams_are_separating():
 def test_separation_witness_is_the_first_pair_of_equal_columns():
     # Columns X, Y, Y, X: scanning columns for a repeat meets (a1, a2)
     # first, but the first pair in atom order is (a0, a3).
-    diagram = GreechieDiagram(atoms=tuple(Atom(id=f"a{k}") for k in range(4)), blocks=(), dim=4)
-    states = [TwoValuedState(dict(zip(diagram.atom_ids(), bits))) for bits in ((0, 1, 1, 0), (1, 0, 0, 1))]
+    diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(4)), blocks=(), dim=4)
+    states = [TwoValuedState(dict(zip(diagram.atom_ids, bits))) for bits in ((0, 1, 1, 0), (1, 0, 0, 1))]
     assert pairwise_scan_witness(states, diagram) == ("a0", "a3")
     assert is_separating(states, diagram) == (False, ("a0", "a3"))
 
@@ -388,8 +383,8 @@ def test_separation_witness_is_the_first_pair_of_equal_columns():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.lists(st.lists(st.integers(0, 1), min_size=6, max_size=6), max_size=6))
 def test_separation_matches_the_pairwise_scan(n_atoms, rows):
-    diagram = GreechieDiagram(atoms=tuple(Atom(id=f"a{k}") for k in range(n_atoms)), blocks=(), dim=3)
-    states = [TwoValuedState(dict(zip(diagram.atom_ids(), row))) for row in rows]
+    diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n_atoms)), blocks=(), dim=3)
+    states = [TwoValuedState(dict(zip(diagram.atom_ids, row))) for row in rows]
     witness = pairwise_scan_witness(states, diagram)
     assert is_separating(states, diagram) == (witness is None, witness)
 
@@ -435,14 +430,60 @@ def test_diagram_dict_form_keeps_rays_as_real_imag_pairs():
     assert ray == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 
 
+MALFORMED_BLOCKS = [
+    ((0, 1),),  # a row of the wrong width
+    ((0, 1, 2), (0, 1)),
+    np.array([[0, 1]]),
+    ((0, 0, 1),),  # a repeated index
+    ((0, 1, 3),),  # an index past the last atom
+    ((0, 1, -1),),  # a negative index, which numpy would read as the last atom
+    np.array([[0, 1, -1]]),
+    ((0, 1.0, 2),),  # a non-integer entry
+    np.array([[0.0, 1.0, 2.0]]),
+    ((0, "b", 2),),
+    ((0, True, 2),),  # a bool entry, which numpy would read as 1
+    np.array([[False, True, True]]),
+]
+
+
 def test_diagram_validation_rejects_malformed_blocks():
-    atoms = (Atom(id="a"), Atom(id="b"), Atom(id="c"))
-    with pytest.raises(ValueError):
-        GreechieDiagram(atoms=atoms, blocks=(("a", "b"),), dim=3)
-    with pytest.raises(ValueError):
-        GreechieDiagram(atoms=atoms, blocks=(("a", "a", "b"),), dim=3)
-    with pytest.raises(ValueError):
-        GreechieDiagram(atoms=atoms, blocks=(("a", "b", "z"),), dim=3)
+    for blocks in MALFORMED_BLOCKS:
+        with pytest.raises(ValueError):
+            GreechieDiagram(atom_ids=("a", "b", "c"), blocks=blocks, dim=3)
+
+
+def test_diagram_validation_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="duplicate atom ids"):
+        GreechieDiagram(atom_ids=("a", "b", "a"), blocks=((0, 1, 2),), dim=3)
+
+
+def test_diagram_blocks_are_one_read_only_index_array():
+    for blocks in (((2, 0, 1), (1, 2, 0)), np.array([[2, 0, 1], [1, 2, 0]], dtype=np.int32)):
+        diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=blocks, dim=3)
+        assert diagram.blocks.dtype == np.intp and not diagram.blocks.flags.writeable
+        assert diagram.blocks.tolist() == [[2, 0, 1], [1, 2, 0]]
+        assert diagram.rays is None
+        assert diagram_to_dict(diagram) == {
+            "dim": 3,
+            "atoms": [{"id": atom, "ray": None} for atom in ("a", "b", "c")],
+            "blocks": [["c", "a", "b"], ["b", "c", "a"]],
+        }
+    assert GreechieDiagram(atom_ids=("a", "b", "c"), blocks=(), dim=3).blocks.shape == (0, 3)
+    built = tripod_diagram()
+    assert built.blocks.dtype == np.intp and not built.blocks.flags.writeable
+    assert built.rays.shape == (5, 3) and not built.rays.flags.writeable
+
+
+def test_diagram_rays_are_a_read_only_copy_of_one_ray_per_atom():
+    rays = np.eye(3)
+    diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1, 2),), dim=3, rays=rays)
+    assert diagram.rays.dtype == complex and not diagram.rays.flags.writeable
+    rays[0, 0] = 7.0
+    assert diagram.rays[0, 0] == 1.0
+    assert diagram_to_dict(diagram)["atoms"][0]["ray"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    for wrong in (np.eye(3)[:2], np.eye(4)[:3]):
+        with pytest.raises(ValueError):
+            GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1, 2),), dim=3, rays=wrong)
 
 
 def test_state_bits_rows_are_in_lexicographic_order():
@@ -453,11 +494,10 @@ def test_state_bits_rows_are_in_lexicographic_order():
     for _ in range(300):
         n = int(rng.integers(3, 10))
         blocks = {tuple(sorted(rng.choice(n, 3, replace=False).tolist())) for _ in range(rng.integers(1, 6))}
-        atoms = tuple(Atom(id=f"a{k}") for k in range(n))
-        diagram = GreechieDiagram(atoms=atoms, blocks=tuple(tuple(f"a{k}" for k in b) for b in sorted(blocks)), dim=3)
+        diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n)), blocks=sorted(blocks), dim=3)
         bits = diagram.state_bits
         assert bits.tobytes() == bits[np.lexsort(bits.T[::-1])].tobytes()
-        assert [dict(zip(diagram.atom_ids(), row)) for row in bits.tolist()] == brute_force_states(diagram)
+        assert [dict(zip(diagram.atom_ids, row)) for row in bits.tolist()] == brute_force_states(diagram)
         several += len(bits) > 1
     assert several > 250
 
@@ -501,18 +541,18 @@ def test_states_report_equals_the_oracles_and_its_link_atoms_are_perfect(pair):
             context_from_basis([[complex(*z) for z in ray] for ray in payload[side]], range(1, d + 1))
             for side in ("left", "right")
         ]
-        atoms, blocks = first_match_oracle(contexts)
-        oracle = GreechieDiagram(atoms=tuple(atoms), blocks=tuple(blocks), dim=d)
+        rays, blocks = first_match_oracle(contexts)
+        ids = [f"a{m}" for m in range(len(rays))]
+        oracle = GreechieDiagram(atom_ids=tuple(ids), blocks=blocks, dim=d)
         states = [TwoValuedState(a) for a in brute_force_states(oracle)]
         witness = pairwise_scan_witness(states, oracle)
-        counts = {a.id: sum(a.id in block for block in blocks) for a in atoms}
         expected = {
             "command": "states",
             "scenario": "custom",
             "dim": d,
-            "atoms": [{"id": a.id, "ray": cli._ray_pairs(a.ray)} for a in atoms],
-            "blocks": [list(block) for block in blocks],
-            "link_atoms": [a.id for a in atoms if counts[a.id] >= 2],
+            "atoms": [{"id": atom, "ray": cli._ray_pairs(ray)} for atom, ray in zip(ids, rays)],
+            "blocks": [[ids[m] for m in block] for block in blocks],
+            "link_atoms": [atom for m, atom in enumerate(ids) if sum(m in block for block in blocks) >= 2],
             "state_count": len(states),
             "two_valued_states": [s.assignment for s in states],
             "separating": witness is None,
@@ -523,6 +563,7 @@ def test_states_report_equals_the_oracles_and_its_link_atoms_are_perfect(pair):
         compare(expected, report, "states", [], errors)
         assert errors == []
         for atom in report["link_atoms"]:
-            sequential = run("sequential", "--prepare-slot", str(blocks[0].index(atom)))
-            assert sequential["link_slot"] == blocks[1].index(atom)
+            m = ids.index(atom)
+            sequential = run("sequential", "--prepare-slot", str(blocks[0].index(m)))
+            assert sequential["link_slot"] == blocks[1].index(m)
             assert sequential["perfect_link_correlation"] is True

@@ -38,4 +38,4 @@ def test_two_valued_states_carry_the_assignment_the_fingerprint_reads():
     assert states
     for state in states:
         assert isinstance(state.assignment, dict)
-        assert list(state.assignment) == list(diagram.atom_ids())
+        assert list(state.assignment) == list(diagram.atom_ids)
