@@ -295,15 +295,15 @@ def cmd_sample(args) -> dict:
 def cmd_states(args) -> dict:
     contexts, _ = _contexts(args)
     diagram = diagram_from_contexts(contexts)
-    states = two_valued_states(diagram)
-    separating, witness = is_separating(states, diagram)
+    separating, witness = is_separating(two_valued_states(diagram), diagram)
+    ids, bits = diagram.atom_ids, diagram.state_bits
     return {
         "command": "states",
         "scenario": args.scenario,
         **diagram_to_dict(diagram),
         "link_atoms": link_atoms(diagram),
-        "state_count": len(states),
-        "two_valued_states": [s.assignment for s in states],
+        "state_count": len(bits),
+        "two_valued_states": [dict(zip(ids, row)) for row in bits.tolist()],
         "separating": separating,
         "inseparable_pair": None if witness is None else list(witness),
     }

@@ -217,14 +217,11 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     support = table.support(tol)
 
     # masses[k] is the sum over slots i of p[i, perms[k, i]]. The columns are
-    # added one by one, in slot order, so each mass rounds exactly as a
+    # accumulated one by one, in slot order, so each mass rounds exactly as a
     # running sum does (ndarray.sum leaves its order of addition open), and
     # argmax keeps the first permutation of greatest mass.
     perms = _permutations(n)
-    gathered = p[np.arange(n), perms]
-    masses = gathered[:, 0]
-    for i in range(1, n):
-        masses = masses + gathered[:, i]
+    masses = np.add.accumulate(p[np.arange(n), perms], axis=1)[:, -1]
     best = int(np.argmax(masses))
     best_perm = perms[best].tolist()
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])

@@ -14,7 +14,6 @@ states are enumerated once per diagram, into one bit matrix that
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -120,10 +119,9 @@ class TwoValuedStates(Sequence):
     over its ``state_bits`` and atom ids, in the matrix's row order.
 
     Reading an item builds a :class:`TwoValuedState` with a fresh dict,
-    which a caller may change freely; the matrix itself is shared. The view
-    equals another view with the same ids and bits, and a list of equal
-    states. A plain class: a dataclass would cost import time in every
-    process.
+    which a caller may change freely; the matrix itself is shared. Iteration
+    runs through the integer index and ends on numpy's IndexError. A plain
+    class: a dataclass would cost import time in every process.
     """
 
     __slots__ = ("atom_ids", "bits")
@@ -135,23 +133,8 @@ class TwoValuedStates(Sequence):
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return TwoValuedStates(self.atom_ids, self.bits[k])
+    def __getitem__(self, k: int) -> TwoValuedState:
         return TwoValuedState(assignment=dict(zip(self.atom_ids, self.bits[k].tolist())))
-
-    def __iter__(self):
-        ids = self.atom_ids
-        return (TwoValuedState(assignment=dict(zip(ids, row))) for row in self.bits.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, TwoValuedStates):
-            return self.atom_ids == other.atom_ids and np.array_equal(self.bits, other.bits)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None
 
 
 def _overlap_match(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
@@ -231,7 +214,7 @@ def two_valued_states(diagram: GreechieDiagram) -> TwoValuedStates:
 
 
 def is_separating(
-    states: Sequence[TwoValuedState], diagram: GreechieDiagram
+    states: TwoValuedStates, diagram: GreechieDiagram
 ) -> tuple[bool, tuple[str, str] | None]:
     """Whether every atom pair is told apart by some state.
 
@@ -239,18 +222,16 @@ def is_separating(
     first atom pair (in atom order) that no state distinguishes. Two atoms
     are told apart exactly when their columns in the (states, atoms) bit
     matrix of ``states`` differ, so the pair is the lexicographically first
-    pair of equal columns. With no states every column is equal. A
-    :class:`TwoValuedStates` view over the diagram's atom ids lends its
-    matrix as it is; any other sequence of states is read into one.
+    pair of equal columns. With no states every column is equal. Raises
+    TypeError unless ``states`` is a :class:`TwoValuedStates` view over the
+    diagram's atom ids.
     """
     ids = diagram.atom_ids
+    if not (isinstance(states, TwoValuedStates) and states.atom_ids == ids):
+        raise TypeError("states must be a TwoValuedStates view over the diagram's atom ids")
     if len(ids) < 2:
         return True, None
-    if isinstance(states, TwoValuedStates) and states.atom_ids == ids:
-        bits = states.bits
-    else:
-        get = operator.itemgetter(*ids)
-        bits = np.array([get(s.assignment) for s in states], dtype=np.uint8).reshape(len(states), len(ids))
+    bits = states.bits
     n = len(bits)
     # Column j of the bit matrix is raw[j * n : (j + 1) * n].
     raw = bits.T.tobytes()

@@ -3,8 +3,10 @@
 The generator is numpy's PCG64 (64-bit seeded, period 2^128), driven by
 inverse-CDF over the table cells in row-major order, so identical
 (table, n, seed) inputs always reproduce identical shot streams on any
-platform. Cells below the support threshold are excluded from the CDF
-outright: outcomes with exact probability zero can never be drawn.
+platform. Cells at or below the support threshold are excluded from the
+CDF outright, so outcomes with exact probability zero can never be drawn;
+a threshold that would drop more than ``NORMALIZATION_TOL`` of probability
+is refused rather than moving that mass into a kept cell.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .correlations import JointTable
 from .errors import ShapeMismatchError
-from .tolerances import SUPPORT_THRESHOLD
+from .tolerances import NORMALIZATION_TOL, SUPPORT_THRESHOLD
 
 _MASK64 = (1 << 64) - 1
 _CSV_HEADER = b"shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue\r\n"
@@ -99,7 +101,10 @@ def sample(
     holds every cell of the table (uint8 up to 256 cells). A caller that
     wants the (left slot, right slot) pairs takes
     ``np.unravel_index(shots, table.shape)``. ``seed`` must lie in
-    [0, 2^64). Raises ValueError when no cell clears ``support_threshold``.
+    [0, 2^64). Raises ValueError when no cell clears ``support_threshold``,
+    or when the cells at or below it hold more probability than
+    ``NORMALIZATION_TOL``, the slack the table's own sum is allowed: the
+    draw never hands that mass to a kept cell.
 
     ``batches`` splits the stream into independently seeded chunks (seeds
     derived by :func:`derive_batch_seed`) whose concatenation is still fully
@@ -113,6 +118,9 @@ def sample(
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be in [0, 2^64)")
     mask = table.support(support_threshold)
+    dropped = float(table.probabilities[~mask].sum())
+    if dropped > NORMALIZATION_TOL:
+        raise ValueError(f"cells at or below the support threshold {support_threshold} hold probability {dropped:.6g}, above NORMALIZATION_TOL = {NORMALIZATION_TOL}")
     kept = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))
     shots = np.empty(n, dtype=kept.dtype)
     cdf = np.cumsum(table.probabilities[mask])

@@ -11,7 +11,7 @@ the named scale before the comparison).
 CLOSED_FORM_TOL = 1e-9
 # Default support threshold: a table cell at or below it counts as empty; absolute.
 SUPPORT_THRESHOLD = 1e-10
-# |sum of a joint table - 1|; absolute.
+# |sum of a joint table - 1|, and the most probability sample may drop below its support threshold; absolute.
 NORMALIZATION_TOL = 1e-9
 # Lowest joint-table probability taken as roundoff and clamped to 0; absolute.
 NEGATIVE_FLOOR = -1e-12

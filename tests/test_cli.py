@@ -692,6 +692,20 @@ def test_tol_above_every_cell_exits_with_one_line(tmp_path, capsys, command):
     assert not csv.exists()
 
 
+def test_tol_that_drops_probability_mass_exits_with_one_line_and_writes_nothing(tmp_path, capsys):
+    # dim4-mixed cells (0, 3) and (1, 2) hold 1/4 each, and the cells at or
+    # below 0.2 the other half, which the draw would have moved into (1, 2).
+    out = tmp_path / "r.json"
+    code = cli.main(["sample", "--scenario", "dim4-mixed", "--tol", "0.2", "--shots", "100000", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: cells at or below the support threshold 0.2 hold probability 0.5, above NORMALIZATION_TOL = 1e-09"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_large_spectra_pass_the_closed_form_check(capsys):
     # Roundoff on an 8e6 expectation exceeds an absolute 1e-9; the check is relative to max|λ|·max|μ|.
     code, data = run_cli(capsys, "joint", "--scenario", "ks-mixed", "--left=1e4,-1e4,0.5", "--right=0.25,1e4,-0.5e4")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from contextsim import cli
+from contextsim import cli, greechie
 from contextsim.scenarios import SCENARIOS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,6 +145,16 @@ def test_million_shot_output_hashes(name, tmp_path):
 def test_large_states_report_hashes(name, tmp_path):
     argv, digest = HASHED_STATES[name]
     assert hashlib.sha256(render(name, argv, tmp_path)[f"{name}.json"]).hexdigest() == digest
+
+
+def test_states_report_is_read_from_the_bit_matrix_alone(monkeypatch, tmp_path):
+    # The report builds no per-state object: a TwoValuedState fails the run.
+    def refuse(**_):
+        raise AssertionError("the states report built a TwoValuedState")
+
+    monkeypatch.setattr(greechie, "TwoValuedState", refuse)
+    argv, digest = HASHED_STATES["states-custom-peres"]
+    assert hashlib.sha256(render("states-custom-peres", argv, tmp_path)["states-custom-peres.json"]).hexdigest() == digest
 
 
 if __name__ == "__main__":

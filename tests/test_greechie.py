@@ -19,6 +19,7 @@ from contextsim.errors import DimensionMismatchError, ZeroVectorError
 from contextsim.greechie import (
     GreechieDiagram,
     TwoValuedState,
+    TwoValuedStates,
     diagram_from_contexts,
     diagram_to_dict,
     is_separating,
@@ -88,6 +89,12 @@ def pairwise_scan_witness(states, diagram):
         if not any(s.assignment[x] != s.assignment[y] for s in states):
             return x, y
     return None
+
+
+def states_view(ids, rows):
+    """Hand-made two-valued states: a view over ``rows``, one 0/1 entry per
+    atom of ``ids`` each."""
+    return TwoValuedStates(ids, np.array(rows, dtype=np.uint8).reshape(-1, len(ids)))
 
 
 def chain_diagram(length):
@@ -290,12 +297,13 @@ def test_enumeration_matches_brute_force_on_random_small_diagrams(data):
     diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n)), blocks=blocks, dim=dim)
     states = two_valued_states(diagram)
     assert [s.assignment for s in states] == brute_force_states(diagram) == backtracking_states(diagram)
-    # The view's matrix columns and a hand-built list of the same rows give
-    # one verdict, and the view equals the list of its items.
-    hand_built = [TwoValuedState(dict(zip(diagram.atom_ids, row))) for row in diagram.state_bits.tolist()]
-    assert is_separating(states, diagram) == is_separating(hand_built, diagram)
-    assert states == list(states) == hand_built
-    assert len(states) < 2 or states != hand_built[::-1]
+    # The diagram's view and a hand-built view of the same rows give the
+    # pairwise scan's verdict, and their items are equal.
+    hand_built = states_view(diagram.atom_ids, diagram.state_bits.tolist())
+    witness = pairwise_scan_witness(hand_built, diagram)
+    assert is_separating(states, diagram) == is_separating(hand_built, diagram) == (witness is None, witness)
+    assert list(states) == list(hand_built)
+    assert len(states) < 2 or list(states) != list(hand_built)[::-1]
 
 
 @pytest.mark.parametrize("length", [6, 10])
@@ -322,9 +330,10 @@ def test_eighteen_ray_kochen_specker_set_has_no_two_valued_state():
     assert (len(diagram.atom_ids), len(diagram.blocks), len(link_atoms(diagram))) == (18, 9, 18)
     assert backtracking_states(diagram) == []
     states = two_valued_states(diagram)
-    assert not states and states == []
+    assert not states and len(states) == 0
     assert diagram.state_bits.shape == (0, 18)
-    assert is_separating(states, diagram) == is_separating([], diagram) == (False, ("a0", "a1"))
+    empty = states_view(diagram.atom_ids, [])
+    assert is_separating(states, diagram) == is_separating(empty, diagram) == (False, ("a0", "a1"))
 
 
 def test_peres_triads_form_a_separating_diagram_with_3072_states():
@@ -357,8 +366,8 @@ def test_unsatisfiable_diagram_yields_no_states():
     # triangle of two-atom blocks: exactly-one-per-edge has no solution
     with pytest.warns(UserWarning):
         diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1), (1, 2), (0, 2)), dim=2)
-    assert two_valued_states(diagram) == []
-    separating, witness = is_separating([], diagram)
+    assert len(two_valued_states(diagram)) == 0
+    separating, witness = is_separating(states_view(diagram.atom_ids, []), diagram)
     assert not separating
     assert witness == ("a", "b")
 
@@ -375,7 +384,7 @@ def test_separation_witness_is_the_first_pair_of_equal_columns():
     # Columns X, Y, Y, X: scanning columns for a repeat meets (a1, a2)
     # first, but the first pair in atom order is (a0, a3).
     diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(4)), blocks=(), dim=4)
-    states = [TwoValuedState(dict(zip(diagram.atom_ids, bits))) for bits in ((0, 1, 1, 0), (1, 0, 0, 1))]
+    states = states_view(diagram.atom_ids, ((0, 1, 1, 0), (1, 0, 0, 1)))
     assert pairwise_scan_witness(states, diagram) == ("a0", "a3")
     assert is_separating(states, diagram) == (False, ("a0", "a3"))
 
@@ -384,9 +393,18 @@ def test_separation_witness_is_the_first_pair_of_equal_columns():
 @given(st.integers(1, 6), st.lists(st.lists(st.integers(0, 1), min_size=6, max_size=6), max_size=6))
 def test_separation_matches_the_pairwise_scan(n_atoms, rows):
     diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n_atoms)), blocks=(), dim=3)
-    states = [TwoValuedState(dict(zip(diagram.atom_ids, row))) for row in rows]
+    states = states_view(diagram.atom_ids, [row[:n_atoms] for row in rows])
     witness = pairwise_scan_witness(states, diagram)
     assert is_separating(states, diagram) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 4])
+def test_is_separating_takes_only_a_view_over_the_diagram_atoms(n_atoms):
+    diagram = GreechieDiagram(atom_ids=tuple(f"a{k}" for k in range(n_atoms)), blocks=(), dim=3)
+    states = list(two_valued_states(diagram))
+    for wrong in ([], states, states_view(tuple(f"b{k}" for k in range(n_atoms)), [[0] * n_atoms])):
+        with pytest.raises(TypeError, match="TwoValuedStates view"):
+            is_separating(wrong, diagram)
 
 
 def test_named_rays_share_one_diagram_across_spectra():

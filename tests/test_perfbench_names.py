@@ -1,9 +1,11 @@
-"""The benchmark's tracer finds every contextsim name it wraps.
+"""The benchmark's tracer finds every contextsim name it wraps, and its
+``predict-sweep`` workload runs on the library as it is.
 
 ``perfbench/spans.py`` resolves its span and counter names by attribute
-lookup when a traced run starts, and ``perfbench/workloads.py`` fingerprints
-two-valued states by their ``assignment`` dict. Renaming or deleting one of
-those in ``src`` would otherwise fail only in a traced benchmark run.
+lookup when a traced run starts, and ``perfbench/workloads.py`` counts
+two-valued states with ``len`` and fingerprints them by iterating their
+``assignment`` dicts. Renaming or deleting one of those in ``src`` would
+otherwise fail only in a benchmark run.
 """
 
 import importlib.util
@@ -13,18 +15,19 @@ import contextsim.cli  # noqa: F401  (imports every contextsim module, as spans.
 from contextsim.greechie import diagram_from_contexts, two_valued_states
 from contextsim.observables import ks_context, ks_context_prime
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load(name):
+    """The module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_spanned_and_counted_name_resolves():
-    spans = load_spans()
+    spans = load("spans")
     names = spans.SPANNED + spans.COUNTED
     assert names
     for name in names:
@@ -39,3 +42,11 @@ def test_two_valued_states_carry_the_assignment_the_fingerprint_reads():
     for state in states:
         assert isinstance(state.assignment, dict)
         assert list(state.assignment) == list(diagram.atom_ids)
+
+
+def test_predict_sweep_request_passes_its_check_and_reproduces_its_fingerprint(tmp_path):
+    sweep = load("workloads").PredictSweep(1, tmp_path)
+    results = sweep.request(0)
+    assert sweep.check(0, results) is None
+    first = sweep.fingerprint(0, results)
+    assert sweep.fingerprint(0, sweep.request(0)) == first

@@ -166,6 +166,14 @@ def test_threshold_above_every_cell_is_rejected(n):
         sample(mixed_table(), n, seed=1, support_threshold=0.5)
 
 
+@pytest.mark.parametrize("n", [0, 10])
+def test_threshold_that_drops_probability_mass_is_rejected(n):
+    # Every ks-mixed cell above 0.2 is (0, 0), at 1/3: the other 2/3 would
+    # have been drawn as (0, 0).
+    with pytest.raises(ValueError, match="hold probability 0.666667, above NORMALIZATION_TOL"):
+        sample(mixed_table(), n, seed=1, support_threshold=0.2)
+
+
 def fresh_csv(tmp_path, shots, table) -> bytes:
     """The CSV bytes as written to a path that did not exist before."""
     path = tmp_path / "fresh.csv"
