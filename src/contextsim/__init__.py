@@ -62,7 +62,7 @@ from .sampler import (
     sample,
     write_shot_csv,
 )
-from .scenarios import SCENARIOS, Scenario, get_scenario
+from .scenarios import SCENARIOS, Scenario
 from .states import (
     BipartiteState,
     DensityMatrix,

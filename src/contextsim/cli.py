@@ -1,10 +1,13 @@
 """Command-line interface: build scenarios, emit predictions and simulated runs.
 
-Commands: expectation, joint, sample, states, sequential. Every command
-writes one JSON document (stdout or --out) with floats rendered at 15
-significant digits, so reruns with identical flags reproduce identical
-bytes. Exit codes: 0 success, 1 validation failure, 2 internal consistency
-failure, 3 I/O failure.
+Commands: expectation, joint, sample, states, sequential. The three pair
+commands (expectation, joint, sample) build the context pair, the singlet,
+its joint table and its expectation in one place, and check the expectation
+against the table contraction and any closed form. Every command writes one
+JSON document (stdout or --out) with floats rendered at 15 significant
+digits, so reruns with identical flags reproduce identical bytes. Exit
+codes: 0 success, 1 validation failure, 2 internal consistency failure, 3
+I/O failure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import ContextsimError
 from .greechie import _overlap_match, diagram_from_contexts, diagram_to_dict, is_separating, link_atoms, two_valued_states
 from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
-from .scenarios import SCENARIOS, Scenario, get_scenario
+from .scenarios import SCENARIOS, Scenario
 from .states import density, singlet
 from .tolerances import CLOSED_FORM_TOL, SUPPORT_THRESHOLD
 
@@ -58,15 +61,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round15(obj):
-    """Render floats at 15 significant digits for stable, lossless JSON."""
-    if isinstance(obj, bool):
-        return obj
+    """A report as JSON values: arrays become lists, floats are rendered at
+    15 significant digits for stable, lossless JSON, and containers are copied."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.15g}")
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round15(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_round15(x) for x in obj]
     if isinstance(obj, dict):
@@ -84,17 +84,15 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_spectrum(text: str) -> tuple[float, ...]:
+def _spectrum(text: str | None, dim: int, first: int) -> tuple[float, ...]:
+    """The spectrum a --left/--right flag gives: ``first, ..., first + dim - 1``
+    when the flag is absent."""
+    if text is None:
+        return tuple(float(k) for k in range(first, first + dim))
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse spectrum {text!r}; expected comma-separated reals") from None
-
-
-def _spectrum(text: str | None, dim: int, first: int) -> tuple[float, ...]:
-    """The spectrum a --left/--right flag gives: ``first, ..., first + dim - 1``
-    when the flag is absent."""
-    return tuple(float(k) for k in range(first, first + dim)) if text is None else _parse_spectrum(text)
 
 
 def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
@@ -108,8 +106,13 @@ def _parse_forbidden(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
-def _parse_basis(entries) -> list[np.ndarray]:
-    """The rays of one custom basis: 3 or 4 lists of [re, im] pairs."""
+def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in vec]
+
+
+def _basis_context(entries, spectrum: str | None, first: int, label: str) -> ContextOperator:
+    """A custom basis's context, its rays 3 or 4 lists of [re, im] pairs, at
+    ``spectrum`` (default: first, first + 1, ...)."""
     try:
         rays = [np.array([complex(re, im) for re, im in ray], dtype=complex) for ray in entries]
         # complex(True, 0) is 1+0j, but a JSON boolean is no number.
@@ -119,16 +122,6 @@ def _parse_basis(entries) -> list[np.ndarray]:
         raise ValueError("a basis must be a list of rays, each a list of [re, im] number pairs") from None
     if len(rays) not in (3, 4):
         raise ValueError(f"custom contexts must have dimension 3 or 4, not {len(rays)}")
-    return rays
-
-
-def _ray_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _basis_context(entries, spectrum: str | None, first: int, label: str) -> ContextOperator:
-    """A custom basis's context at ``spectrum`` (default: first, first + 1, ...)."""
-    rays = _parse_basis(entries)
     return context_from_basis(rays, _spectrum(spectrum, len(rays), first), label=label)
 
 
@@ -144,7 +137,7 @@ def _contexts(args) -> tuple[list[ContextOperator], Scenario | None]:
     if args.scenario != "custom":
         if args.basis_file is not None:
             raise ValueError("--basis-file applies only to --scenario custom")
-        scenario = get_scenario(args.scenario)
+        scenario = SCENARIOS[args.scenario]
         d = scenario.dim
         return list(scenario.contexts(_spectrum(args.left, d, 1), _spectrum(args.right, d, d + 1))), scenario
     if args.basis_file is None:
@@ -177,8 +170,8 @@ def _table_payload(state, a, b, table: JointTable) -> dict:
         "state": state.label,
         "left_context": a.label,
         "right_context": b.label,
-        "left_spectrum": list(a.spectrum),
-        "right_spectrum": list(b.spectrum),
+        "left_spectrum": a.spectrum,
+        "right_spectrum": b.spectrum,
         "left_outcomes": [{"slot": s, "eigenvalue": v} for s, v in enumerate(table.left_spectrum)],
         "right_outcomes": [{"slot": s, "eigenvalue": v} for s, v in enumerate(table.right_spectrum)],
         "probabilities": table.probabilities,
@@ -187,42 +180,41 @@ def _table_payload(state, a, b, table: JointTable) -> dict:
     }
 
 
-def _checked_expectation(
-    state, a, b, scenario: Scenario | None, table: JointTable | None = None
-) -> tuple[float, float | None]:
-    """The expectation of the pair on ``state``, and the scenario's closed
-    form (None for custom), cross-checked.
+def _checked_pair(args):
+    """The flags' context pair on the singlet: ``(scenario, state, a, b,
+    table, expectation, closed form)``, the scenario and the closed form
+    None for custom.
 
-    Raises ConsistencyFailure when the contraction of ``table`` (when one is
-    given; it checked its own normalization when it was built) or the closed
-    form misses the expectation by more than CLOSED_FORM_TOL relative to the
-    spectrum scale max(1, max|λ|·max|μ|), and ValueError when that scale or
-    one of the values overflowed to inf or nan.
+    Raises ConsistencyFailure when the contraction λᵀPμ of the joint table
+    (which checked its own normalization when it was built) or the closed
+    form misses the expectation Tr{ρ(A⊗B)} by more than CLOSED_FORM_TOL
+    relative to the spectrum scale max(1, max|λ|·max|μ|), and ValueError
+    when that scale or one of the values overflowed to inf or nan.
     """
+    (a, b), scenario = _contexts(args)
+    state = singlet(a.dim)
+    table = joint_distribution(state, a, b)
     exact = expectation(density(state), a, b)
     closed = None if scenario is None else scenario.closed_form(a.spectrum, b.spectrum)
-    contracted = None
-    if table is not None:
-        contracted = float(np.array(table.left_spectrum) @ table.probabilities @ np.array(table.right_spectrum))
+    contracted = float(np.array(table.left_spectrum) @ table.probabilities @ np.array(table.right_spectrum))
     scale = expectation_scale(a, b)
     if not all(math.isfinite(x) for x in (scale, exact, closed, contracted) if x is not None):
         raise ValueError("eigenvalue products overflow double precision")
     tol = CLOSED_FORM_TOL * scale
-    if contracted is not None and abs(contracted - exact) > tol:
+    if abs(contracted - exact) > tol:
         raise ConsistencyFailure(f"table contraction {contracted} disagrees with expectation {exact}")
     if closed is not None and abs(exact - closed) > tol:
         raise ConsistencyFailure(f"numeric expectation {exact} deviates from closed form {closed}")
-    return exact, closed
+    return scenario, state, a, b, table, exact, closed
 
 
 def cmd_expectation(args) -> dict:
-    (a, b), scenario = _contexts(args)
-    value, closed = _checked_expectation(singlet(a.dim), a, b, scenario)
+    _, _, a, b, _, value, closed = _checked_pair(args)
     return {
         "command": "expectation",
         "scenario": args.scenario,
-        "left_spectrum": list(a.spectrum),
-        "right_spectrum": list(b.spectrum),
+        "left_spectrum": a.spectrum,
+        "right_spectrum": b.spectrum,
         "expectation": value,
         "closed_form": closed,
         "abs_difference": None if closed is None else abs(value - closed),
@@ -230,10 +222,7 @@ def cmd_expectation(args) -> dict:
 
 
 def cmd_joint(args) -> dict:
-    (a, b), scenario = _contexts(args)
-    state = singlet(a.dim)
-    table = joint_distribution(state, a, b)
-    exact, closed = _checked_expectation(state, a, b, scenario, table)
+    scenario, state, a, b, table, exact, closed = _checked_pair(args)
     uniqueness = verify_uniqueness(table, tol=args.tol)
     if scenario is None and args.forbidden is None:
         raise ValueError("scenario 'custom' requires an explicit --forbidden list")
@@ -249,12 +238,10 @@ def cmd_joint(args) -> dict:
         "uniqueness": {
             "status": uniqueness.status,
             "is_unique": uniqueness.is_unique,
-            "pairing": [list(cell) for cell in uniqueness.pairing],
+            "pairing": uniqueness.pairing,
             "violation_mass": uniqueness.violation_mass,
             "block_structured": uniqueness.block_structured,
-            "blocks": [
-                {"left": list(left), "right": list(right)} for left, right in uniqueness.blocks
-            ],
+            "blocks": [{"left": left, "right": right} for left, right in uniqueness.blocks],
         },
         "criterion": {
             "forbidden_cells": [
@@ -267,10 +254,7 @@ def cmd_joint(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    (a, b), scenario = _contexts(args)
-    state = singlet(a.dim)
-    table = joint_distribution(state, a, b)
-    _checked_expectation(state, a, b, scenario, table)
+    scenario, state, a, b, table, _, _ = _checked_pair(args)
     shots = sample(table, args.shots, args.seed, batches=args.batches, support_threshold=args.tol)
     report = empirical_report(shots, table)
     for i, j in () if scenario is None else scenario.forbidden_cells:
@@ -305,7 +289,7 @@ def cmd_states(args) -> dict:
         "state_count": len(bits),
         "two_valued_states": [dict(zip(ids, row)) for row in bits.tolist()],
         "separating": separating,
-        "inseparable_pair": None if witness is None else list(witness),
+        "inseparable_pair": witness,
     }
 
 

@@ -177,18 +177,14 @@ def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _support_structure(
-    mask: bytes, n: int
-) -> tuple[bool, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool]:
+def _support_structure(mask: bytes, n: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool]:
     """What a uniqueness report reads off an n x n support alone, kept per
-    pattern (the bytes of the boolean mask): whether every row and every
-    column holds exactly one populated cell, the components of
+    pattern (the bytes of the boolean mask): the components of
     :func:`_support_components`, and whether each component fills its full
     product of slots."""
     support = np.frombuffer(mask, dtype=bool).reshape(n, n)
-    one_per_line = bool(np.all(support.sum(axis=1) == 1) and np.all(support.sum(axis=0) == 1))
     components, spans = _support_components(support)
-    return one_per_line, tuple(components), bool(np.array_equal(support, spans))
+    return tuple(components), bool(np.array_equal(support, spans))
 
 
 @functools.cache
@@ -227,9 +223,10 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
     violation_mass = float(p.sum() - masses[best])
 
-    one_per_line, blocks, block_structured = _support_structure(support.tobytes(), n)
+    blocks, block_structured = _support_structure(support.tobytes(), n)
+    # n components hold one left and one right slot each: one populated cell per row and column.
     return UniquenessReport(
-        is_unique=one_per_line and violation_mass <= tol,
+        is_unique=len(blocks) == n and violation_mass <= tol,
         pairing=pairing,
         violation_mass=violation_mass,
         blocks=blocks,

@@ -93,9 +93,3 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     ),
 )}
 
-
-def get_scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}") from None

@@ -144,8 +144,9 @@ def unitary_invariance_defect(state: BipartiteState, u: np.ndarray) -> float:
         )
     if not is_unitary(matrix):
         raise ValueError("invariance defect requires a unitary operator")
-    transformed = np.kron(matrix, matrix) @ state.amplitudes
-    overlap = np.vdot(state.amplitudes, transformed)
+    # (U x U) psi is U Psi U^T on the amplitudes reshaped to a d x d matrix Psi.
+    psi = state.amplitudes.reshape(state.local_dim, state.local_dim)
+    overlap = np.vdot(psi, matrix @ psi @ matrix.T)
     return max(0.0, 1.0 - abs(overlap))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from contextsim import cli
+from contextsim.correlations import JointTable, joint_distribution
 from contextsim.scenarios import SCENARIOS
 
 
@@ -460,6 +461,27 @@ def test_table_commands_check_the_closed_form(tmp_path, capsys, monkeypatch, com
     [line] = captured.err.strip().splitlines()
     assert line.startswith("error: numeric expectation") and line.endswith("deviates from closed form 0.0")
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("command", ["expectation", "joint", "sample"])
+def test_pair_commands_check_the_table_contraction(tmp_path, capsys, monkeypatch, command):
+    # Reversing the rows of the ks-mixed table moves λᵀPμ from 10.5 to 9.5.
+    def reversed_rows(state, a, b):
+        table = joint_distribution(state, a, b)
+        return JointTable(table.left_spectrum, table.right_spectrum, table.probabilities[::-1])
+
+    monkeypatch.setattr(cli, "joint_distribution", reversed_rows)
+    argv = [command, "--scenario", "ks-mixed"]
+    if command == "sample":
+        argv += ["--shots", "10", "--out", str(tmp_path / "report.json")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    contracted, exact = line.removeprefix("error: table contraction ").split(" disagrees with expectation ")
+    assert (float(contracted), float(exact)) == pytest.approx((9.5, 10.5), abs=1e-12)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_round_trip(tmp_path):

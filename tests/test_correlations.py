@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import breadth_first_components
 
 from contextsim import correlations, greechie
 from contextsim.correlations import (
@@ -265,44 +266,18 @@ def test_block_pattern_of_collinear_dim4_rotated():
     assert abs(report.violation_mass - 0.5) < 1e-12
 
 
-def breadth_first_components(support):
-    """Oracle: connected components of the bipartite support graph by a
-    breadth-first search from each unvisited nonempty row."""
-    n, m = support.shape
-    seen_left: set[int] = set()
-    components = []
-    for start in range(n):
-        if start in seen_left or not support[start].any():
-            continue
-        left: set[int] = set()
-        right: set[int] = set()
-        frontier = [("L", start)]
-        while frontier:
-            side, k = frontier.pop()
-            if side == "L":
-                if k in left:
-                    continue
-                left.add(k)
-                frontier.extend(("R", j) for j in range(m) if support[k, j])
-            else:
-                if k in right:
-                    continue
-                right.add(k)
-                frontier.extend(("L", i) for i in range(n) if support[i, k])
-        seen_left |= left
-        components.append((tuple(sorted(left)), tuple(sorted(right))))
-    components.sort(key=lambda c: c[0][0])
-    return components
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_support_components_match_a_breadth_first_search_on_every_pattern(dim):
     cells = dim * dim
     bits = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
-    for pattern in bits.astype(bool).reshape(-1, dim, dim):
+    patterns = bits.astype(bool).reshape(-1, dim, dim)
+    # verify_uniqueness reads "one populated cell per row and column" as "dim components".
+    one_per_line = ((patterns.sum(axis=1) == 1).all(axis=1) & (patterns.sum(axis=2) == 1).all(axis=1)).tolist()
+    for pattern, single in zip(patterns, one_per_line):
         components, spans = _support_components(pattern)
         expected = breadth_first_components(pattern)
         assert components == expected
+        assert (len(components) == dim) == single
         # Oracle for block_structured: every component fills its full product of slots.
         filled = all(pattern[np.ix_(left, right)].all() for left, right in expected)
         assert np.array_equal(pattern, spans) == filled

@@ -9,12 +9,11 @@ also give every ray a random phase and scale its norm by 1 +- 1e-9, which the
 basis check accepts and the predictions must undo.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kronecker_table, uniqueness_oracle
 
 from contextsim.correlations import (
     JointTable,
@@ -29,7 +28,6 @@ from contextsim.greechie import diagram_from_contexts
 from contextsim.linalg import projector_from_ray
 from contextsim.observables import context_from_basis
 from contextsim.states import DensityMatrix, density, singlet
-from contextsim.tolerances import SUPPORT_THRESHOLD
 
 SETTINGS = settings(max_examples=60, deadline=None)
 EIGENVALUE = st.one_of(
@@ -68,14 +66,6 @@ def contexts(left, right, left_spectrum, right_spectrum):
 def rescaled(rays, rng):
     """Each ray times a random phase and a norm factor within 1 +- 1e-9."""
     return [ray * np.exp(2j * np.pi * rng.uniform()) * (1.0 + rng.uniform(-1e-9, 1e-9)) for ray in rays]
-
-
-def kronecker_table(state, a, b):
-    """Oracle: P[i, j] = <state| P_a,i x P_b,j |state> with one Kronecker product per cell."""
-    amp = state.amplitudes
-    left = [projector_from_ray(ray) for ray in a.basis]
-    right = [projector_from_ray(ray) for ray in b.basis]
-    return np.array([[np.vdot(amp, np.kron(pa, pb) @ amp).real for pb in right] for pa in left])
 
 
 @SETTINGS
@@ -178,31 +168,6 @@ def test_density_matrix_tolerates_only_roundoff_below_zero(lowest, accepted):
     else:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(matrix)
-
-
-def uniqueness_oracle(p, tol=SUPPORT_THRESHOLD):
-    """(pairing, violation mass, status) from a loop over every permutation.
-
-    The first permutation of strictly greatest mass wins. The support is
-    block-structured exactly when any two of its rows are equal or disjoint."""
-    n = p.shape[0]
-    support = p > tol
-    best_mass, best_perm = -1.0, tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        mass = float(sum(p[i, perm[i]] for i in range(n)))
-        if mass > best_mass:
-            best_mass, best_perm = mass, perm
-    pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
-    violation_mass = float(p.sum() - best_mass)
-    singles = bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
-    rows = [frozenset(np.flatnonzero(row)) for row in support]
-    if singles and violation_mass <= tol:
-        status = "unique"
-    elif all(r == s or not r & s for r in rows for s in rows):
-        status = "block-structured"
-    else:
-        status = "irregular"
-    return pairing, violation_mass, status
 
 
 def square_table(weights):

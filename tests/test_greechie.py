@@ -13,6 +13,14 @@ import pytest
 from golden_drift import compare
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    backtracking_states,
+    brute_force_states,
+    first_match_oracle,
+    pairwise_scan_witness,
+    random_unitary,
+    sharing_pairs,
+)
 
 from contextsim import cli, greechie
 from contextsim.errors import DimensionMismatchError, ZeroVectorError
@@ -30,65 +38,6 @@ from contextsim.greechie import (
 from contextsim.observables import context_from_basis, four_dim_contexts, ks_context, ks_context_prime
 
 KS18_FILE = Path(__file__).parent / "golden" / "custom-ks18-basis.json"
-
-
-def brute_force_states(diagram):
-    """Oracle: scan all 2^n assignments for the exactly-one-per-block rule."""
-    ids = diagram.atom_ids
-    blocks = diagram.blocks.tolist()
-    found = []
-    for bits in itertools.product((0, 1), repeat=len(ids)):
-        if all(sum(bits[k] for k in block) == 1 for block in blocks):
-            found.append(dict(zip(ids, bits)))
-    return found
-
-
-def backtracking_states(diagram):
-    """Oracle: backtracking over atoms in diagram order with per-block
-    counting. A block may never hold two 1s, and once fully assigned must
-    hold exactly one; trying 0 before 1 gives lexicographic order."""
-    ids = diagram.atom_ids
-    blocks = diagram.blocks.tolist()
-    blocks_of_atom = [[] for _ in ids]
-    for b, block in enumerate(blocks):
-        for k in block:
-            blocks_of_atom[k].append(b)
-    ones = [0] * len(blocks)
-    unassigned = [len(block) for block in blocks]
-    assignment = [0] * len(ids)
-    found = []
-
-    def assign(k):
-        if k == len(ids):
-            found.append(dict(zip(ids, assignment)))
-            return
-        for value in (0, 1):
-            if any(
-                ones[b] + value > 1 or (unassigned[b] == 1 and ones[b] + value == 0)
-                for b in blocks_of_atom[k]
-            ):
-                continue
-            assignment[k] = value
-            for b in blocks_of_atom[k]:
-                ones[b] += value
-                unassigned[b] -= 1
-            assign(k + 1)
-            for b in blocks_of_atom[k]:
-                ones[b] -= value
-                unassigned[b] += 1
-        assignment[k] = 0
-
-    assign(0)
-    return found
-
-
-def pairwise_scan_witness(states, diagram):
-    """Oracle: the first atom pair, scanning pairs in atom order, that no
-    state tells apart, or None."""
-    for x, y in itertools.combinations(diagram.atom_ids, 2):
-        if not any(s.assignment[x] != s.assignment[y] for s in states):
-            return x, y
-    return None
 
 
 def states_view(ids, rows):
@@ -125,28 +74,6 @@ def peres_rays():
                 if not any(np.allclose(v, w) or np.allclose(v, -w) for w in rays):
                     rays.append(v)
     return np.array([v / np.linalg.norm(v) for v in rays])
-
-
-def first_match_oracle(contexts):
-    """Oracle: the ray of each atom, and each block as a list of atom
-    indices, from a pairwise rays_match scan in which each ray joins the
-    first atom it matches."""
-    rays, blocks = [], []
-    for context in contexts:
-        block = []
-        for ray in context.basis:
-            atom = next((m for m, first in enumerate(rays) if rays_match(first, ray)), None)
-            if atom is None:
-                atom = len(rays)
-                rays.append(ray)
-            block.append(atom)
-        blocks.append(block)
-    return rays, blocks
-
-
-def random_unitary(rng, d):
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q
 
 
 # Tilts come in steps of 0.9e-4 rad: rays one step apart match within
@@ -518,24 +445,6 @@ def test_state_bits_rows_are_in_lexicographic_order():
         assert [dict(zip(diagram.atom_ids, row)) for row in bits.tolist()] == brute_force_states(diagram)
         several += len(bits) > 1
     assert several > 250
-
-
-@st.composite
-def sharing_pairs(draw):
-    """A random d = 3 or 4 left basis, and a right basis that keeps k of its
-    rays (0 <= k < d), each times a random phase, mixes the other d - k by a
-    random unitary and lists its rays in random order. Mixing a single ray
-    keeps it, so k = d - 1 shares all d rays. Every shared ray matches up to
-    roundoff and every other pair misses RAY_MATCH_TOL by far, so no draw
-    lies near the ray-match threshold."""
-    d = draw(st.sampled_from((3, 4)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(0, d - 1))
-    left = random_unitary(rng, d)
-    right = left.copy()
-    right[:, :k] *= np.exp(2j * math.pi * rng.uniform(size=k))
-    right[:, k:] = right[:, k:] @ random_unitary(rng, d - k)
-    return left.T, right.T[rng.permutation(d)]
 
 
 @settings(max_examples=100, deadline=None)

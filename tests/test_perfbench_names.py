@@ -1,11 +1,13 @@
 """The benchmark's tracer finds every contextsim name it wraps, and its
-``predict-sweep`` workload runs on the library as it is.
+three workloads run on the library and the CLI as they are.
 
 ``perfbench/spans.py`` resolves its span and counter names by attribute
 lookup when a traced run starts, and ``perfbench/workloads.py`` counts
 two-valued states with ``len`` and fingerprints them by iterating their
-``assignment`` dicts. Renaming or deleting one of those in ``src`` would
-otherwise fail only in a benchmark run.
+``assignment`` dicts, and its ``cli-cold`` and ``shots-1e6`` workloads run
+the CLI with their own flags and checks. Renaming or deleting one of those
+in ``src``, or breaking the CLI path they take, would otherwise fail only in
+a benchmark run.
 """
 
 import importlib.util
@@ -50,3 +52,24 @@ def test_predict_sweep_request_passes_its_check_and_reproduces_its_fingerprint(t
     assert sweep.check(0, results) is None
     first = sweep.fingerprint(0, results)
     assert sweep.fingerprint(0, sweep.request(0)) == first
+
+
+def test_cli_cold_custom_requests_pass_their_checks_and_reproduce_sample(tmp_path):
+    # Requests 25-29 run the five commands on the workload's custom basis, one process each.
+    cold = load("workloads").ColdCli(1, tmp_path)
+    for k in range(25, 30):
+        proc = cold.request(k)
+        assert cold.check(k, proc) is None
+        if k == 25:
+            first = cold.fingerprint(k, proc)
+    assert cold.fingerprint(25, cold.request(25)) == first
+
+
+def test_shots_million_request_passes_its_check_and_reproduces_its_fingerprint(tmp_path):
+    shots = load("workloads").ShotsMillion(1, tmp_path)
+    code = shots.request(0)
+    assert shots.check(0, code) is None
+    first = shots.fingerprint(0, code)
+    code = shots.request(0)
+    assert shots.check(0, code) is None
+    assert shots.fingerprint(0, code) == first

@@ -11,8 +11,6 @@ cross block boundaries.
 """
 
 import collections
-import csv
-import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,12 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_csv, reference_stream
 
 from contextsim import sampler
 from contextsim.correlations import joint_distribution
 from contextsim.errors import ShapeMismatchError
 from contextsim.observables import context_from_basis, ks_context, ks_context_prime
-from contextsim.sampler import derive_batch_seed, empirical_report, sample, write_shot_csv
+from contextsim.sampler import empirical_report, sample, write_shot_csv
 from contextsim.states import singlet, spin1_singlet
 from contextsim.tolerances import MERGE_TOL
 
@@ -74,31 +73,6 @@ def runs(draw):
     """(table, n, seed, batches) with n in [0, 3000] and batches in [1, n + 3]."""
     n = draw(st.integers(0, 3000))
     return draw(tables()), n, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, n + 3))
-
-
-def reference_stream(table, n, seed, batches):
-    """One single-batch draw per non-empty batch, as the per-shot sampler drew them."""
-    if batches == 1:
-        return sample(table, n, seed)
-    base, remainder = n // batches, n % batches
-    chunks = []
-    for b in range(batches):
-        size = base + (1 if b < remainder else 0)
-        if size:
-            chunks.append(sample(table, size, derive_batch_seed(seed, b)))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-
-
-def reference_csv(shots, table) -> bytes:
-    """One ``csv.writer`` row per shot, its slots read from its cell by ``divmod``."""
-    left_values, right_values = table.left_spectrum, table.right_spectrum
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["shot", "left_slot", "left_eigenvalue", "right_slot", "right_eigenvalue"])
-    for k, cell in enumerate(shots.tolist()):
-        ls, rs = divmod(cell, len(right_values))
-        writer.writerow([k, ls, f"{left_values[ls]:.15g}", rs, f"{right_values[rs]:.15g}"])
-    return buffer.getvalue().encode("utf-8")
 
 
 @SETTINGS
