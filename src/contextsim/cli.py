@@ -33,7 +33,7 @@ from .correlations import (
     verify_uniqueness,
 )
 from .errors import ContextsimError
-from .greechie import _overlap_match, diagram_from_contexts, diagram_to_dict, is_separating, link_atoms, two_valued_states
+from .greechie import diagram_from_contexts, diagram_to_dict, is_separating, link_atoms, two_valued_states
 from .observables import ContextOperator, context_from_basis
 from .sampler import empirical_report, sample, write_shot_csv
 from .scenarios import SCENARIOS, Scenario
@@ -298,10 +298,7 @@ def cmd_sequential(args) -> dict:
     if not (0 <= args.prepare_slot < a.dim):
         raise ValueError(f"--prepare-slot must be in [0, {a.dim})")
     prepared = a.basis[args.prepare_slot]
-    distribution = sequential_link_test(prepared, b)
-    # The ray match that merges atoms in `states` also decides the link here.
-    link = _overlap_match(b.units, a.units[[args.prepare_slot]])[:, 0]
-    link_slot = int(link.argmax()) if link.any() else None
+    distribution, link_slot = sequential_link_test(prepared, b)
     return {
         "command": "sequential",
         "scenario": args.scenario,

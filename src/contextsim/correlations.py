@@ -19,10 +19,10 @@ from .errors import (
     NonNegligibleImaginaryPartError,
 )
 from .greechie import MEMO_SIZE
-from .linalg import as_vector, unit_rows
+from .linalg import as_vector, same_ray, unit_rows
 from .observables import ContextOperator
 from .states import BipartiteState, DensityMatrix
-from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, SUPPORT_THRESHOLD
+from .tolerances import IMAG_TOL, NEGATIVE_FLOOR, NORMALIZATION_TOL, PAIRING_TIE_TOL, SUPPORT_THRESHOLD
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +202,12 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
     Cells with probability above ``tol`` count as populated. The pairing is
     the best (probability-maximizing) slot matching, found by scoring all
     n! permutations at once (tables here are at most 4x4; the table of
-    permutations grows as n!). ``violation_mass`` is the probability
-    outside that matching. The rest of the report depends on the support
-    pattern alone and is kept per pattern, for the ``MEMO_SIZE`` patterns
-    used last. Raises ValueError when no cell is populated."""
+    permutations grows as n!); among matchings whose masses tie within
+    ``PAIRING_TIE_TOL``, the first in lexicographic order wins.
+    ``violation_mass`` is the probability outside that matching. The rest
+    of the report depends on the support pattern alone and is kept per
+    pattern, for the ``MEMO_SIZE`` patterns used last. Raises ValueError
+    when no cell is populated."""
     p = table.probabilities
     n, m = p.shape
     if n != m:
@@ -214,11 +216,12 @@ def verify_uniqueness(table: JointTable, tol: float = SUPPORT_THRESHOLD) -> Uniq
 
     # masses[k] is the sum over slots i of p[i, perms[k, i]]. The columns are
     # accumulated one by one, in slot order, so each mass rounds exactly as a
-    # running sum does (ndarray.sum leaves its order of addition open), and
-    # argmax keeps the first permutation of greatest mass.
+    # running sum does (ndarray.sum leaves its order of addition open).
+    # Masses that tie in exact arithmetic may round apart, so the best is the
+    # first permutation within PAIRING_TIE_TOL of the greatest mass.
     perms = _permutations(n)
     masses = np.add.accumulate(p[np.arange(n), perms], axis=1)[:, -1]
-    best = int(np.argmax(masses))
+    best = int(np.argmax(masses >= masses.max() - PAIRING_TIE_TOL))
     best_perm = perms[best].tolist()
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
     violation_mass = float(p.sum() - masses[best])
@@ -256,20 +259,25 @@ def contextuality_criterion(
 
 def sequential_link_test(
     prepared: np.ndarray, measured: ContextOperator
-) -> tuple[tuple[float, float], ...]:
-    """Prepare-then-measure distribution for a single particle.
+) -> tuple[tuple[tuple[float, float], ...], int | None]:
+    """Prepare-then-measure run for a single particle.
 
     The particle is prepared in the ray ``prepared`` (normalized here) and
-    measured in ``measured``; returns (eigenvalue, probability) per outcome
-    slot. Preparing a ray the context shares yields probability one on it.
+    measured in ``measured``. Returns ``(distribution, link_slot)``: the
+    (eigenvalue, probability) of each outcome slot, and the first slot whose
+    ray is the prepared one (the rule of :func:`linalg.same_ray`), or None.
+    Both come from one overlap column: the probabilities are its squared
+    moduli, so preparing a ray the context shares yields probability one on
+    its slot.
     """
     unit = unit_rows(as_vector(prepared)[None, :])[0]
     if unit.shape[0] != measured.dim:
         raise DimensionMismatchError(
             f"prepared ray has dimension {unit.shape[0]}, context has {measured.dim}"
         )
-    probabilities = np.abs(measured.units.conj() @ unit) ** 2
-    return tuple(zip(measured.spectrum, probabilities.tolist()))
+    overlap = np.abs(measured.units.conj() @ unit)
+    link_slot = next((k for k, hit in enumerate(same_ray(overlap).tolist()) if hit), None)
+    return tuple(zip(measured.spectrum, (overlap**2).tolist())), link_slot
 
 
 def marginals(table: JointTable) -> tuple[np.ndarray, np.ndarray]:

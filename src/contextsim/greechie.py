@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_vector, unit_rows
+from .linalg import as_vector, same_ray, unit_rows
 from .observables import ContextOperator, RaySet
-from .tolerances import RAY_MATCH_TOL
 
 # How many entries each analysis memo keeps, dropping the least recently
 # used: the diagrams here and the support structures in correlations. A
@@ -137,28 +136,21 @@ class TwoValuedStates(Sequence):
         return TwoValuedState(assignment=dict(zip(self.atom_ids, self.bits[k].tolist())))
 
 
-def _overlap_match(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
-    """match[m, k]: unit row k of ``b_units`` spans the ray of unit row m of
-    ``a_units``, that is 1 - |conj(A) B^T|[m, k] <= ``RAY_MATCH_TOL``. The
-    one ray-match test of the package."""
-    return 1.0 - np.abs(a_units.conj() @ b_units.T) <= RAY_MATCH_TOL
-
-
 def rays_match(u: np.ndarray, v: np.ndarray) -> bool:
-    """True when u and v span the same ray (the test of :func:`_overlap_match`).
+    """True when u and v span the same ray (the rule of :func:`linalg.same_ray`).
     Rays of different lengths never match; a zero ray raises ZeroVectorError."""
     a = as_vector(u)
     b = as_vector(v)
     if a.shape != b.shape:
         return False
-    return bool(_overlap_match(unit_rows(a[None, :]), unit_rows(b[None, :]))[0, 0])
+    return bool(same_ray(np.abs(unit_rows(a[None, :]).conj() @ unit_rows(b[None, :]).T))[0, 0])
 
 
 def diagram_from_contexts(contexts: Sequence[ContextOperator]) -> GreechieDiagram:
     """Build the orthogonality diagram of a list of contexts.
 
     One block per context; basis rays that coincide up to a complex phase
-    (within ``RAY_MATCH_TOL``, the test of :func:`_overlap_match`) are merged
+    (within ``RAY_MATCH_TOL``, the rule of :func:`linalg.same_ray`) are merged
     into a single atom, which makes shared (link) observables explicit. Atom
     ids follow first appearance, scanning contexts in order and each basis
     in slot order; a ray that matches several atoms joins the first.
@@ -182,7 +174,7 @@ def _diagram(ray_sets: tuple[RaySet, ...]) -> GreechieDiagram:
     of all their unit rows."""
     dim = ray_sets[0].dim
     units = np.vstack([r.units for r in ray_sets])
-    match = _overlap_match(units, units).tolist()
+    match = same_ray(np.abs(units.conj() @ units.T)).tolist()
     firsts: list[int] = []  # the ray that opened each atom
     atoms: list[int] = []  # the atom of each ray
     for k in range(len(match)):

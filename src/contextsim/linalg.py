@@ -1,8 +1,9 @@
 """Input coercion, predicates and the phase-fixed Hermitian eigensystem.
 
 Everything here is what numpy does not provide directly: finite-entry
-coercion, Hermiticity and unitarity predicates at one tolerance, rank-1
-projectors, and ``np.linalg.eigh`` with a reproducible eigenvector phase.
+coercion, Hermiticity and unitarity predicates at one tolerance, the one
+normalization of a ray and the one ray-match rule, rank-1 projectors, and
+``np.linalg.eigh`` with a reproducible eigenvector phase.
 All values are complex128 numpy arrays and every function is pure.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError, NotHermitianError, ZeroVectorError
-from .tolerances import HERMITICITY_TOL, PHASE_CUTOFF
+from .tolerances import HERMITICITY_TOL, PHASE_CUTOFF, RAY_MATCH_TOL
 
 
 def as_matrix(a) -> np.ndarray:
@@ -47,15 +48,18 @@ def is_unitary(a) -> bool:
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """The rows of ``m`` divided by their norms: the one normalization of a
     ray and the one zero-ray check. Raises ZeroVectorError for a row whose
-    norm is zero, or underflows to zero as a subnormal row's squares do.
-
-    The norms are ``np.linalg.norm(m, axis=1, keepdims=True)`` written out
-    as that function computes them, bit for bit, without its Python-level
-    dispatch."""
-    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=1, keepdims=True))
+    norm is zero, or underflows to zero as a subnormal row's squares do."""
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
     if not (norms > 0.0).all():
         raise ZeroVectorError("cannot normalize a ray whose norm is zero or underflows")
     return m / norms
+
+
+def same_ray(overlap: np.ndarray) -> np.ndarray:
+    """Where an overlap modulus |<u, v>| of two unit rays u, v says they span
+    one ray: 1 - |<u, v>| <= ``RAY_MATCH_TOL``. The one ray-match rule of
+    the package."""
+    return 1.0 - overlap <= RAY_MATCH_TOL
 
 
 def projector_from_ray(v) -> np.ndarray:

@@ -31,3 +31,8 @@ NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
 # 1 - |<u,v>| / (|u| |v|) at or below which two rays are one atom; scale-free (divided by the norms).
 RAY_MATCH_TOL = 1e-8
+# Gap below the greatest slot-matching mass within which a matching ties it, and
+# the first tied one in lexicographic order is the pairing; absolute. A mass sums
+# at most four probabilities, so masses equal in exact arithmetic round apart by
+# ~1e-15 at most; the bound clears that and stays below SUPPORT_THRESHOLD.
+PAIRING_TIE_TOL = 1e-12

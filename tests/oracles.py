@@ -3,9 +3,10 @@
 Each oracle is deliberately naive and independent of the code it checks:
 one Kronecker product per table cell or expectation, a loop over every permutation, a
 breadth-first search, a scan of all 2^n assignments, a backtracking
-search, a pairwise ray scan, one single-batch draw per batch, and one
-``csv.writer`` row per shot. ``sharing_pairs`` draws the custom basis
-pairs that the end-to-end tests feed to the CLI and to these oracles.
+search, a pairwise ray scan that writes out the ray-match rule, one
+single-batch draw per batch, and one ``csv.writer`` row per shot.
+``sharing_pairs`` draws the custom basis pairs that the end-to-end tests
+feed to the CLI and to these oracles.
 """
 
 import csv
@@ -16,9 +17,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from contextsim.greechie import rays_match
 from contextsim.sampler import derive_batch_seed, sample
-from contextsim.tolerances import SUPPORT_THRESHOLD
+from contextsim.tolerances import PAIRING_TIE_TOL, RAY_MATCH_TOL, SUPPORT_THRESHOLD
 
 
 def projector(ray):
@@ -47,15 +47,15 @@ def kronecker_expectation(state, a, b):
 def uniqueness_oracle(p, tol=SUPPORT_THRESHOLD):
     """(pairing, violation mass, status) from a loop over every permutation.
 
-    The first permutation of strictly greatest mass wins. The support is
-    block-structured exactly when any two of its rows are equal or disjoint."""
+    The first permutation whose mass lies within ``PAIRING_TIE_TOL`` of the
+    greatest mass wins. The support is block-structured exactly when any two
+    of its rows are equal or disjoint."""
     n = p.shape[0]
     support = p > tol
-    best_mass, best_perm = -1.0, tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        mass = float(sum(p[i, perm[i]] for i in range(n)))
-        if mass > best_mass:
-            best_mass, best_perm = mass, perm
+    masses = {perm: float(sum(p[i, perm[i]] for i in range(n))) for perm in itertools.permutations(range(n))}
+    greatest = max(masses.values())
+    best_perm = next(perm for perm, mass in masses.items() if mass >= greatest - PAIRING_TIE_TOL)
+    best_mass = masses[best_perm]
     pairing = tuple((i, best_perm[i]) for i in range(n) if support[i, best_perm[i]])
     violation_mass = float(p.sum() - best_mass)
     singles = bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
@@ -183,15 +183,20 @@ def pairwise_scan_witness(states, diagram):
     return None
 
 
+def span_one_ray(u, v):
+    """Whether u and v span one ray: 1 - |<u, v>| / (|u| |v|) <= RAY_MATCH_TOL."""
+    return 1.0 - abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v)) <= RAY_MATCH_TOL
+
+
 def first_match_oracle(contexts):
     """The ray of each atom, and each block as a list of atom indices, from
-    a pairwise rays_match scan in which each ray joins the first atom it
-    matches."""
+    a pairwise :func:`span_one_ray` scan in which each ray joins the first
+    atom it matches."""
     rays, blocks = [], []
     for context in contexts:
         block = []
         for ray in context.basis:
-            atom = next((m for m, first in enumerate(rays) if rays_match(first, ray)), None)
+            atom = next((m for m, first in enumerate(rays) if span_one_ray(first, ray)), None)
             if atom is None:
                 atom = len(rays)
                 rays.append(ray)

@@ -463,6 +463,15 @@ def test_table_commands_check_the_closed_form(tmp_path, capsys, monkeypatch, com
     assert not csv.exists()
 
 
+def test_a_drawn_forbidden_cell_exits_with_code_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # A sampler that puts one shot in the forbidden cell (0, 1) of ks-mixed.
+    monkeypatch.setattr(cli, "sample", lambda table, n, seed, **kwargs: np.array([1], dtype=np.uint8))
+    csv = tmp_path / "shots.csv"
+    argv = ["sample", "--scenario", "ks-mixed", "--shots", "1", "--csv", str(csv)]
+    assert_exits_with(capsys, 2, "error: forbidden cell (0, 1) drew 1 shots", argv)
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("command", ["expectation", "joint", "sample"])
 def test_pair_commands_check_the_table_contraction(tmp_path, capsys, monkeypatch, command):
     # Reversing the rows of the ks-mixed table moves λᵀPμ from 10.5 to 9.5.
@@ -528,6 +537,14 @@ def assert_one_line_validation_failure(capsys, *argv):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def assert_exits_with(capsys, code, line, argv):
+    """``cli.main(argv)`` returns ``code``, writes nothing to stdout and exactly ``line`` to stderr."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_basis_of_numbers_exits_with_one_line(tmp_path, capsys):
@@ -619,6 +636,46 @@ def test_negative_shots_exits_with_one_line(tmp_path, capsys):
     csv = tmp_path / "shots.csv"
     assert_one_line_validation_failure(capsys, "sample", "--scenario", "ks-mixed", "--shots", "-5", "--csv", str(csv))
     assert not csv.exists()
+
+
+def test_the_largest_seed_is_accepted(tmp_path, capsys):
+    code, data = run_cli(
+        capsys, "sample", "--scenario", "ks-mixed", "--shots", "10", "--seed", str(2**64 - 1), "--csv", str(tmp_path / "s.csv")
+    )
+    assert code == 0
+    assert data["seed"] == 2**64 - 1
+
+
+def test_joint_at_tol_zero_keeps_the_collinear_table_unique(capsys):
+    # The off-diagonal cells are exact zeros, which a threshold of 0 leaves empty.
+    code, data = run_cli(capsys, "joint", "--scenario", "ks-collinear", "--tol", "0")
+    assert code == 0
+    assert data["support_threshold"] == 0.0
+    assert data["uniqueness"]["status"] == "unique"
+    assert data["uniqueness"]["violation_mass"] == 0.0
+
+
+def test_sample_at_tol_zero_draws_no_forbidden_cell(tmp_path, capsys):
+    code, data = run_cli(capsys, "sample", "--scenario", "ks-mixed", "--tol", "0", "--csv", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert all(data["counts"][i][j] == 0 for i, j in SCENARIOS["ks-mixed"].forbidden_cells)
+    assert sum(map(sum, data["counts"])) == 10000
+
+
+@pytest.mark.parametrize("slot", ["3", "-1"])
+def test_prepare_slot_outside_the_basis_exits_with_one_line(capsys, slot):
+    argv = ["sequential", "--scenario", "ks-mixed", "--prepare-slot", slot]
+    assert_exits_with(capsys, 1, "error: --prepare-slot must be in [0, 3)", argv)
+
+
+def test_a_forbidden_row_one_past_the_table_exits_with_one_line(capsys):
+    argv = ["joint", "--scenario", "ks-mixed", "--forbidden", "3,0"]
+    assert_exits_with(capsys, 1, "error: cell (3, 0) outside a 3x3 table", argv)
+
+
+def test_a_spectrum_shorter_than_the_basis_exits_with_one_line(capsys):
+    argv = ["expectation", "--scenario", "custom", "--basis-file", str(GOLDEN_D3_BASIS), "--left=1,2"]
+    assert_exits_with(capsys, 1, "error: need one basis ray and one eigenvalue per dimension", argv)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -753,15 +810,29 @@ def test_large_spectra_on_a_complex_basis_pass_the_imaginary_part_check(tmp_path
     assert data["closed_form"] is None
 
 
-@pytest.mark.parametrize("command", ["expectation", "joint"])
+def pair_command(tmp_path, command, *argv):
+    """``argv`` for ``command``, with the shot CSV that ``sample`` needs."""
+    return [command, *argv, *(["--csv", str(tmp_path / "shots.csv")] if command == "sample" else [])]
+
+
+@pytest.mark.parametrize("command", ["expectation", "joint", "sample"])
 @pytest.mark.parametrize("magnitude", ["1e155", "1e200", "1.7e308"])
-def test_overflowing_spectrum_exits_with_one_line(capsys, command, magnitude):
-    # max|λ|·max|μ| overflows, so no Infinity or NaN may reach the JSON.
-    code = cli.main([command, "--scenario", "ks-mixed", f"--left={magnitude},2,3", f"--right=4,5,{magnitude}"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
+def test_overflowing_spectrum_exits_with_one_line(tmp_path, capsys, command, magnitude):
+    # Spectra that pass the distinct check, whose products overflow in the
+    # table contraction: no Infinity or NaN may reach the JSON.
+    m = magnitude
+    argv = pair_command(tmp_path, command, "--scenario", "ks-mixed", f"--left={m},0,-{m}", f"--right=0,-{m},{m}")
+    assert_exits_with(capsys, 1, "error: inputs overflow double precision (overflow encountered in matmul)", argv)
+    assert not (tmp_path / "shots.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["expectation", "joint", "sample"])
+def test_eigenvalue_products_that_overflow_without_a_signal_exit_with_one_line(tmp_path, capsys, command):
+    # The table contraction stays finite and einsum returns inf without
+    # raising, so only the finiteness check catches the overflow.
+    argv = pair_command(tmp_path, command, "--scenario", "ks-collinear", "--left=1e160,0,-2e152", "--right=0,1e160,2e152")
+    assert_exits_with(capsys, 1, "error: eigenvalue products overflow double precision", argv)
+    assert not (tmp_path / "shots.csv").exists()
 
 
 def test_states_rejects_dimension_2_contexts(tmp_path, capsys):

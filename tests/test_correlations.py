@@ -22,10 +22,11 @@ from contextsim.correlations import (
 from contextsim.errors import (
     BadCellIndexError,
     DimensionMismatchError,
+    NonNegligibleImaginaryPartError,
     ZeroVectorError,
 )
 from contextsim.observables import four_dim_contexts, ks_context, ks_context_prime
-from contextsim.states import density, spin1_singlet, spin32_singlet
+from contextsim.states import DensityMatrix, density, spin1_singlet, spin32_singlet
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -331,6 +332,36 @@ def test_uniform_table_is_not_unique():
     assert abs(report.violation_mass - 2.0 / 3.0) < 1e-12
 
 
+def test_exact_ties_pick_the_first_permutation():
+    # Matchings (0, 2, 1), (1, 0, 2) and (1, 2, 0) all carry 7/18 in exact
+    # arithmetic, but their running sums round apart; the first one wins.
+    p = np.array([[2, 2, 0], [3, 1, 2], [3, 3, 2]]) / 18
+    report = verify_uniqueness(JointTable((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), p))
+    assert report.pairing == ((0, 0), (1, 2), (2, 1))
+    assert report.violation_mass == pytest.approx(11 / 18, abs=1e-15)
+
+
+def test_a_table_that_does_not_sum_to_one_is_rejected():
+    with pytest.raises(ValueError, match="probabilities sum to 0.9"):
+        JointTable((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), np.full((3, 3), 0.1))
+
+
+def test_uniqueness_rejects_a_non_square_table():
+    table = JointTable((1.0, 2.0, 3.0), (4.0, 5.0), np.full((3, 2), 1.0 / 6))
+    with pytest.raises(ValueError, match="square tables"):
+        verify_uniqueness(table)
+
+
+def test_an_imaginary_trace_beyond_its_bound_is_rejected():
+    # i c S with S = sign(Re(A x B))^T is anti-Hermitian by 2c = 9.98e-11,
+    # within the Hermiticity check, but adds c * sum|Re(A x B)| = 5.2e-9 to
+    # the imaginary part of the trace, against a bound of 1e-10 * 18.
+    a, b = ks_context(1, 2, 3), ks_context_prime(4, 5, 6)
+    tilt = 1j * 4.99e-11 * np.sign(np.kron(a.matrix, b.matrix).real).T
+    with pytest.raises(NonNegligibleImaginaryPartError, match="imaginary part"):
+        expectation(DensityMatrix(RHO3.matrix + tilt), a, b)
+
+
 def test_support_is_the_mask_above_tol_and_never_empty():
     table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
     assert np.array_equal(table.support(1e-10), table.probabilities > 1e-10)
@@ -371,21 +402,24 @@ def test_criterion_rejects_a_repeated_cell():
 
 
 def test_sequential_link_ray_gives_certainty():
-    distribution = sequential_link_test(np.array([0.0, 1.0, 0.0]), ks_context_prime(4, 5, 6))
+    distribution, link_slot = sequential_link_test(np.array([0.0, 1.0, 0.0]), ks_context_prime(4, 5, 6))
     assert [p for _, p in distribution] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
     assert distribution[0][0] == 4.0
+    assert link_slot == 0
 
 
 def test_sequential_non_link_ray_splits_evenly():
     # overlap of (1,0,1)/sqrt2 with (-+i,0,1)/sqrt2 has squared modulus 1/2
     prepared = np.array([INV_SQRT2, 0.0, INV_SQRT2])
-    distribution = sequential_link_test(prepared, ks_context_prime(4, 5, 6))
+    distribution, link_slot = sequential_link_test(prepared, ks_context_prime(4, 5, 6))
     assert [p for _, p in distribution] == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+    assert link_slot is None
 
 
 def test_sequential_standard_ray_through_diagonal_context():
-    distribution = sequential_link_test(np.eye(4)[2], four_dim_contexts(1, 2, 3, 4).C)
+    distribution, link_slot = sequential_link_test(np.eye(4)[2], four_dim_contexts(1, 2, 3, 4).C)
     assert distribution[2] == (3.0, pytest.approx(1.0))
+    assert link_slot == 2
 
 
 def test_sequential_rejects_zero_and_mismatched_input():

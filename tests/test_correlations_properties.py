@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kronecker_table, uniqueness_oracle
+from oracles import kronecker_table, projector, span_one_ray, uniqueness_oracle
 
 from contextsim.correlations import (
     JointTable,
@@ -25,7 +25,6 @@ from contextsim.correlations import (
     verify_uniqueness,
 )
 from contextsim.greechie import diagram_from_contexts
-from contextsim.linalg import projector_from_ray
 from contextsim.observables import context_from_basis
 from contextsim.states import DensityMatrix, density, singlet
 
@@ -139,8 +138,8 @@ def test_expectation_on_a_mixed_state_equals_the_kronecker_trace(pair, rank):
     rho = w @ w.conj().T
     rho /= np.trace(rho).real
     # A and B from the rays, not from a.matrix, so a synthesis that skips the normalization shows.
-    a_matrix = sum(x * projector_from_ray(ray) for x, ray in zip(lam, left))
-    b_matrix = sum(x * projector_from_ray(ray) for x, ray in zip(mu, right))
+    a_matrix = sum(x * projector(ray) for x, ray in zip(lam, left))
+    b_matrix = sum(x * projector(ray) for x, ray in zip(mu, right))
     oracle = np.trace(rho @ np.kron(a_matrix, b_matrix)).real
     assert abs(expectation(DensityMatrix(rho), a, b) - oracle) <= 1e-12 * expectation_scale(a, b)
 
@@ -152,10 +151,14 @@ def test_sequential_distribution_equals_the_projector_oracle(pair):
     a, _ = contexts(rescaled(left, rng), right, lam, mu)
     prepared = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     unit = prepared / np.linalg.norm(prepared)
-    oracle = [np.vdot(unit, projector_from_ray(ray) @ unit).real for ray in a.basis]
-    distribution = sequential_link_test(prepared, a)
+    oracle = [np.vdot(unit, projector(ray) @ unit).real for ray in a.basis]
+    distribution, link_slot = sequential_link_test(prepared, a)
     assert [x for x, _ in distribution] == list(a.spectrum)
     assert np.max(np.abs(np.array([p for _, p in distribution]) - oracle)) <= 1e-14
+    assert link_slot == next((k for k, u in enumerate(a.basis) if span_one_ray(u, prepared)), None)
+    # The last right ray is the last left ray, up to phase and norm, unless all d were mixed.
+    _, shared_slot = sequential_link_test(right[-1], a)
+    assert shared_slot == next((k for k, u in enumerate(a.basis) if span_one_ray(u, right[-1])), None)
 
 
 @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])

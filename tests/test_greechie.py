@@ -20,6 +20,7 @@ from oracles import (
     pairwise_scan_witness,
     random_unitary,
     sharing_pairs,
+    span_one_ray,
 )
 
 from contextsim import cli, greechie
@@ -174,6 +175,8 @@ def test_rays_match_semantics():
     assert not rays_match(u, np.array([1.0, -1j]) / math.sqrt(2))
     with pytest.raises(ZeroVectorError):
         rays_match(u, np.zeros(2))
+    # Rays of different lengths never match, even where one pads the other with a zero.
+    assert not rays_match(u, np.append(u, 0.0))
 
 
 def test_diagram_rejects_mixed_dimensions():
@@ -283,7 +286,7 @@ def test_peres_triads_form_a_separating_diagram_with_3072_states():
     assert is_separating(states, diagram) == (True, None)
     # Once the lone pairs count, the set is uncolourable: every state gives
     # both rays of some lone pair the value 1.
-    atom = [next(m for m, ray in enumerate(diagram.rays) if rays_match(ray, u)) for u in units]
+    atom = [next(m for m, ray in enumerate(diagram.rays) if span_one_ray(ray, u)) for u in units]
     lone = np.array([(atom[i], atom[j]) for i, j in pairs if (i, j) not in in_a_triad])
     bits = diagram.state_bits
     assert np.all((bits[:, lone[:, 0]] & bits[:, lone[:, 1]]).any(axis=1))

@@ -81,6 +81,14 @@ def test_fix_phase_first_large_entry_real_positive():
     v = np.array([1e-12, -1j, 1.0 + 1j])
     fixed = fix_phase(v)
     assert abs(fixed[1].imag) < 1e-15 and fixed[1].real > 0
+    # With no entry above the cutoff the vector comes back as it is.
+    small = np.array([1e-9j, -1e-9, 0.0])
+    assert fix_phase(small) is small
+
+
+def test_as_matrix_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        is_hermitian(np.zeros((2, 3)))
 
 
 def test_projector_from_ray_examples():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import projector
 
 from contextsim.errors import DegenerateSpectrumError, NonOrthonormalBasisError, ZeroVectorError
-from contextsim.linalg import hermitian_eigensystem, is_hermitian, projector_from_ray
+from contextsim.linalg import hermitian_eigensystem, is_hermitian
 from contextsim.observables import (
     ContextOperator,
     Direction,
@@ -75,6 +76,12 @@ def test_direction_normalization():
     d = Direction(math.pi / 3, 5.0 * math.pi)
     assert abs(d.phi - math.pi) < 1e-12
     assert Direction(math.pi, 0.0).theta == math.pi
+
+
+@pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.inf)])
+def test_direction_rejects_a_non_finite_angle(theta, phi):
+    with pytest.raises(ValueError, match="angles must be finite"):
+        Direction(theta, phi)
 
 
 def test_spin1_operator_along_z():
@@ -287,7 +294,7 @@ def test_rays_off_unit_norm_keep_the_declared_spectrum():
     rays = np.array([[INV_SQRT2, 0, INV_SQRT2], [0, 1, 0], [-INV_SQRT2, 0, INV_SQRT2]])
     rays *= np.array([[1 + 5e-9], [1 - 5e-9], [1 + 3e-9]])
     spectrum = (1.0, 2.0, 3.0)
-    exact = sum(x * projector_from_ray(ray) for x, ray in zip(spectrum, rays))
+    exact = sum(x * projector(ray) for x, ray in zip(spectrum, rays))
     assert np.max(np.abs(context_from_basis(rays, spectrum).matrix - exact)) <= 1e-15
     assert np.max(np.abs(ContextOperator(rays, spectrum).matrix - exact)) <= 1e-15
 
@@ -330,5 +337,5 @@ def test_context_from_basis_rejects_a_zero_ray():
 
 def test_context_outcome_projectors_resolve_identity():
     for context in (ks_context(1, 2, 3), ks_context_prime(4, 5, 6), four_dim_contexts(1, 2, 3, 4).C_prime):
-        total = sum(projector_from_ray(ray) for ray in context.basis)
+        total = sum(projector(ray) for ray in context.basis)
         assert np.max(np.abs(total - np.eye(context.dim))) <= 1e-9

@@ -66,6 +66,25 @@ def test_state_validation_rejects_bad_norm():
         BipartiteState(local_dim=3, amplitudes=np.ones(9))
 
 
+def test_state_validation_rejects_a_small_dimension_and_a_wrong_length():
+    with pytest.raises(ValueError, match="local dimension must be at least 2"):
+        BipartiteState(local_dim=1, amplitudes=np.ones(1))
+    with pytest.raises(ValueError, match="expected 9 amplitudes, got 4"):
+        BipartiteState(local_dim=3, amplitudes=np.full(4, 0.5))
+
+
+def test_density_matrix_rejects_a_non_hermitian_or_non_unit_trace_matrix():
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="must have unit trace"):
+        DensityMatrix(np.eye(2))
+
+
+def test_rotation_operator_rejects_a_non_finite_angle():
+    with pytest.raises(ValueError, match="angle must be finite"):
+        rotation_operator_spin1(Direction(0.0, 0.0), math.inf)
+
+
 def test_density_is_pure_with_unit_trace():
     rho = density(spin1_singlet()).matrix
     assert abs(np.trace(rho).real - 1.0) < 1e-12

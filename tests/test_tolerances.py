@@ -26,6 +26,7 @@ PINNED = {
     "NORM_TOL": 1e-12,
     "DENSITY_TOL": 1e-10,
     "RAY_MATCH_TOL": 1e-8,
+    "PAIRING_TIE_TOL": 1e-12,
 }
 
 
@@ -35,7 +36,7 @@ def other_modules():
             yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_the_twelve_tolerances_keep_their_values():
+def test_every_tolerance_keeps_its_value():
     defined = {name: value for name, value in vars(tolerances).items() if name.isupper()}
     assert defined == PINNED
     assert all(type(value) is float for value in defined.values())
