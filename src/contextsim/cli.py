@@ -271,7 +271,7 @@ def cmd_sample(args) -> dict:
         **_table_payload(state, a, b, table),
         "counts": report.counts,
         "frequencies": report.frequencies,
-        "max_abs_deviation": None if args.shots == 0 else report.max_abs_deviation,
+        "max_abs_deviation": report.max_abs_deviation,
         "csv_path": csv_path,
     }
 
@@ -376,34 +376,40 @@ def _csv_path(args) -> str:
     return str(Path(args.out).with_suffix(".csv")) if args.csv is None else args.csv
 
 
-def _is_report_file(path: str, out: str | None) -> bool:
-    """Whether ``path`` is the report's file: ``out``, or standard output
-    when ``out`` is None. Only a regular file loses bytes when both write
-    to it; a shared device or pipe (``/dev/null``) is not the report's."""
+def _same_file(path: str, other: str | None) -> bool:
+    """Whether ``path`` is the file ``other`` names, or standard output when
+    ``other`` is None. Only a regular file loses bytes when both are written
+    to; a shared device or pipe (``/dev/null``) counts as no shared file."""
     try:
         target = os.stat(path)
-        report = os.stat(out) if out is not None else os.fstat(sys.stdout.fileno())
+        report = os.stat(other) if other is not None else os.fstat(sys.stdout.fileno())
         return stat.S_ISREG(target.st_mode) and os.path.samestat(target, report)
     except (OSError, ValueError):
         # A file that does not exist yet (or a stdout with no descriptor) is
-        # the report's only when both are named by the same path.
-        return out is not None and os.path.realpath(path) == os.path.realpath(out)
+        # the other's only when both are named by the same path.
+        return other is not None and os.path.realpath(path) == os.path.realpath(other)
 
 
 def _check_flags(args) -> None:
-    """Checks on flags alone, before any work; ``sample`` leaves its
-    ``--shots``, ``--seed`` and ``--batches`` ranges to the library."""
+    """Checks on flags alone, before any work or write; ``sample`` leaves its
+    ``--shots``, ``--seed`` and ``--batches`` ranges, and every command its
+    ``--tol``, to the library. Neither output (the report, which is
+    standard output without ``--out``, nor the shot CSV) may be the basis
+    file."""
     for flag, path in (("--out", args.out), ("--csv", getattr(args, "csv", None)), ("--basis-file", args.basis_file)):
         if path == "":
             raise ValueError(f"{flag} needs a file path, not an empty string")
-    if args.command in ("joint", "sample") and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError("--tol must be finite and nonnegative")
-    if args.command != "sample":
-        return
-    if args.csv is None and args.out is None:
-        raise ValueError("sample needs --csv or --out to name the shot CSV")
-    if _is_report_file(_csv_path(args), args.out):
-        raise ValueError(f"the shot CSV and the JSON report would share {_csv_path(args)}; give --csv another path")
+    outputs = [("JSON report", args.out)]
+    if args.command == "sample":
+        if args.csv is None and args.out is None:
+            raise ValueError("sample needs --csv or --out to name the shot CSV")
+        csv_path = _csv_path(args)
+        if _same_file(csv_path, args.out):
+            raise ValueError(f"the shot CSV and the JSON report would share {csv_path}; give --csv another path")
+        outputs.append(("shot CSV", csv_path))
+    for name, path in outputs:
+        if args.basis_file is not None and _same_file(args.basis_file, path):
+            raise ValueError(f"the {name} would overwrite the basis file {args.basis_file}; give it another path")
 
 
 def main(argv=None) -> int:

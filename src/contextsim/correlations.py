@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,12 @@ class JointTable:
     def support(self, tol: float) -> np.ndarray:
         """Boolean mask of the cells with probability above ``tol``.
 
-        Raises ValueError when no cell clears ``tol``: an empty support has
-        nothing to pair or to draw."""
+        This is the one reader of a support threshold, and so the one home of
+        its rule: raises ValueError when ``tol`` is not finite and
+        nonnegative, or when no cell clears it (an empty support has nothing
+        to pair or to draw)."""
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"support threshold must be finite and nonnegative, not {tol}")
         mask = self.probabilities > tol
         if not mask.any():
             raise ValueError(f"no table cell has probability above the support threshold {tol}")

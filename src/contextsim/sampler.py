@@ -40,7 +40,7 @@ class EmpiricalReport:
 
     counts: np.ndarray
     frequencies: np.ndarray
-    max_abs_deviation: float
+    max_abs_deviation: float | None
     total_shots: int
 
 
@@ -147,7 +147,8 @@ def _cells(shots: np.ndarray, table: JointTable) -> np.ndarray:
 
 def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
     """Tally a stream of table cells, as :func:`sample` returns it, and
-    compare frequencies with the exact table."""
+    compare frequencies with the exact table. An empty stream has no
+    frequencies to compare: its ``max_abs_deviation`` is None."""
     cells = _cells(shots, table)
     counts = np.zeros(table.shape, dtype=np.intp)
     # One block at a time: np.bincount copies its input to intp.
@@ -155,7 +156,7 @@ def empirical_report(shots: np.ndarray, table: JointTable) -> EmpiricalReport:
         counts += np.bincount(cells[start : start + _DRAW_BLOCK], minlength=counts.size).reshape(table.shape)
     total = int(counts.sum())
     frequencies = counts / total if total else np.zeros_like(counts, dtype=float)
-    deviation = float(np.max(np.abs(frequencies - table.probabilities))) if total else float("nan")
+    deviation = float(np.max(np.abs(frequencies - table.probabilities))) if total else None
     return EmpiricalReport(
         counts=counts,
         frequencies=frequencies,

@@ -1,7 +1,10 @@
 """Entangled singlet states, density matrices, rotation-invariance checks.
 
 Bipartite vectors are flattened first-particle-major: the amplitude of
-|i>|j> on a d (x) d space sits at index i*d + j.
+|i>|j> on a d (x) d space sits at index i*d + j. The singlet has one
+closed form, built by the one cached constructor :func:`singlet` for
+d = 3 (two spin-1 particles) and d = 4 (two spin-3/2 particles);
+:func:`spin1_singlet` and :func:`spin32_singlet` name its two instances.
 """
 
 from __future__ import annotations
@@ -77,42 +80,34 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-# The singlets are built and checked once, the first time they are asked for,
-# and then shared: a state, its amplitudes and its density matrix are read-only.
+# The label of the singlet in each local dimension it is defined for here.
+_SINGLET_LABELS = {3: "spin1-singlet", 4: "spin32-singlet"}
+
+
+# Each singlet is built and checked once, the first time it is asked for, and
+# then shared: a state, its amplitudes and its density matrix are read-only.
 @functools.cache
-def spin1_singlet() -> BipartiteState:
-    """Total-spin-zero state of two spin-1 particles (9 amplitudes)."""
-    amplitudes = np.zeros(9, dtype=complex)
-    s = 1.0 / math.sqrt(3.0)
-    amplitudes[2] = s
-    amplitudes[4] = -s
-    amplitudes[6] = s
-    return BipartiteState(local_dim=3, amplitudes=amplitudes, label="spin1-singlet")
-
-
-@functools.cache
-def spin32_singlet() -> BipartiteState:
-    """Total-spin-zero state of two spin-3/2 particles (16 amplitudes).
-
-    Local basis order is descending spin projection (3/2, 1/2, -1/2, -3/2),
-    so the four nonzero amplitudes pair opposite projections with
-    alternating signs.
-    """
-    amplitudes = np.zeros(16, dtype=complex)
-    amplitudes[3] = 0.5
-    amplitudes[12] = -0.5
-    amplitudes[6] = -0.5
-    amplitudes[9] = 0.5
-    return BipartiteState(local_dim=4, amplitudes=amplitudes, label="spin32-singlet")
-
-
 def singlet(local_dim: int) -> BipartiteState:
-    """The total-spin-zero state for local dimension 3 (spin 1) or 4 (spin 3/2)."""
-    if local_dim == 3:
-        return spin1_singlet()
-    if local_dim == 4:
-        return spin32_singlet()
-    raise UnsupportedDimensionError(f"no entangled state available for local dimension {local_dim}")
+    """The total-spin-zero state for local dimension 3 (spin 1) or 4 (spin 3/2).
+
+    With the local basis in descending spin projection it is
+    sum_i (-1)^i |i>|d-1-i> / sqrt(d): each projection is paired with its
+    opposite, with alternating signs."""
+    if local_dim not in _SINGLET_LABELS:
+        raise UnsupportedDimensionError(f"no entangled state available for local dimension {local_dim}")
+    # The antidiagonal of a d x d amplitude matrix is the pairing i <-> d-1-i.
+    amplitudes = np.fliplr(np.diag((-1.0) ** np.arange(local_dim) / math.sqrt(local_dim))).ravel()
+    return BipartiteState(local_dim=local_dim, amplitudes=amplitudes, label=_SINGLET_LABELS[local_dim])
+
+
+def spin1_singlet() -> BipartiteState:
+    """Total-spin-zero state of two spin-1 particles (9 amplitudes): ``singlet(3)``."""
+    return singlet(3)
+
+
+def spin32_singlet() -> BipartiteState:
+    """Total-spin-zero state of two spin-3/2 particles (16 amplitudes): ``singlet(4)``."""
+    return singlet(4)
 
 
 def density(state: BipartiteState) -> DensityMatrix:

@@ -1,0 +1,157 @@
+"""Flip comparison operators in modules one at a time and run the tests.
+
+    python tests/mutation_sweep.py src/contextsim/states.py src/contextsim/correlations.py
+
+Each ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` in the named modules is
+flipped to its partner, one mutant at a time. The repository that holds
+the modules (the parent of their ``src`` directory) is copied once to a
+temporary directory, without ``.git`` and caches; each mutant is written
+into that copy, its tests run there with ``src`` on ``PYTHONPATH`` as
+``python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0`` (less
+this script's own tests), and the module is put back. The working tree is never edited. A mutant whose run
+fails, or runs past a timeout, is killed; one whose run passes survived.
+
+Prints every survivor with its line, and the reason from ``EQUIVALENT``
+when it is a known equivalent mutant, then a summary, and exits 0. Exits 1,
+having run no mutant, when the unmutated copy fails its tests.
+"""
+
+from __future__ import annotations
+
+import ast
+import itertools
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
+_OPERATOR = re.compile(r"<=|>=|==|!=|<|>")
+# The sweep's own tests are left out: their check that every EQUIVALENT key
+# names a comparison in src fails on any mutant of a listed comparison.
+PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--ignore=tests/test_mutation_sweep.py"]
+_NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+
+# Survivors that no test can kill, keyed by (module file name, the
+# comparison's source text, the operator it is flipped to), with the reason.
+# Most are a float compared with a tolerance, where only exact equality with
+# the bound tells the two operators apart.
+EQUIVALENT = {
+    ("sampler.py", "dropped > NORMALIZATION_TOL", ">="): "dropped mass exactly equal to the bound",
+    ("greechie.py", "len(rows) > 1", ">="): "sorting a single row leaves it as it is",
+    ("linalg.py", "1.0 - overlap <= RAY_MATCH_TOL", "<"): "an overlap exactly 1 - RAY_MATCH_TOL",
+    ("correlations.py", "p.min() >= NEGATIVE_FLOOR", ">"): "a probability exactly at NEGATIVE_FLOOR",
+    ("correlations.py", "abs(total - 1.0) <= NORMALIZATION_TOL", "<"): "a table sum exactly 1 +- NORMALIZATION_TOL",
+    ("correlations.py", "abs(raw.imag) > IMAG_TOL * expectation_scale(a, b)", ">="): "an imaginary part exactly at its bound",
+    ("correlations.py", "masses >= masses.max() - PAIRING_TIE_TOL", ">"): "a mass exactly PAIRING_TIE_TOL below the greatest",
+    ("states.py", "abs(norm - 1.0) > NORM_TOL", ">="): "a state norm exactly 1 +- NORM_TOL",
+    ("states.py", "abs(np.trace(matrix).real - 1.0) > DENSITY_TOL", ">="): "a trace exactly 1 +- DENSITY_TOL",
+    ("states.py", "lowest < -DENSITY_TOL", "<="): "a lowest eigenvalue exactly -DENSITY_TOL",
+    ("cli.py", "abs(contracted - exact) > tol", ">="): "a contraction exactly CLOSED_FORM_TOL off",
+    ("cli.py", "abs(exact - closed) > tol", ">="): "a closed form exactly CLOSED_FORM_TOL off",
+    ("observables.py", "theta > math.pi", ">="): "theta = pi folds phi differently for the same pole",
+    ("observables.py", "abs(spectrum[i] - spectrum[j]) <= tol", "<"): "an eigenvalue gap exactly MERGE_TOL",
+    ("observables.py", "float(np.abs(defect).max()) > BASIS_TOL", ">="): "a Gram defect exactly BASIS_TOL",
+}
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One flipped operator: ``source`` is the whole mutated module."""
+
+    module: str
+    line: int
+    comparison: str
+    flipped_to: str
+    source: str
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return self.module, self.comparison, self.flipped_to
+
+
+def mutants(path: Path) -> list[Mutant]:
+    """Every single-operator flip of the module at ``path``, in source order."""
+    source = path.read_text(encoding="utf-8")
+    # ast numbers lines by "\n" alone; str.splitlines also splits at \f, \x1c and others.
+    lines = source.split("\n")
+    starts = [0, *itertools.accumulate(len(line) + 1 for line in lines)]
+
+    def offset(lineno: int, byte_col: int) -> int:
+        # ast columns count UTF-8 bytes; the text is indexed by character.
+        return starts[lineno - 1] + len(lines[lineno - 1].encode()[:byte_col].decode())
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        comparison = " ".join(ast.get_source_segment(source, node).split())
+        operands = [node.left, *node.comparators]
+        for op, before, after in zip(node.ops, operands, operands[1:]):
+            if type(op) not in FLIPS:
+                continue
+            lo, hi = offset(before.end_lineno, before.end_col_offset), offset(after.lineno, after.col_offset)
+            match = _OPERATOR.search(source, lo, hi)
+            mutated = source[: match.start()] + FLIPS[type(op)] + source[match.end() :]
+            line = source.count("\n", 0, match.start()) + 1
+            found.append((match.start(), Mutant(path.name, line, comparison, FLIPS[type(op)], mutated)))
+    return [mutant for _, mutant in sorted(found, key=lambda pair: pair[0])]
+
+
+def _run_tests(root: Path, timeout: float) -> bool:
+    """Whether the tests of the copy at ``root`` pass within ``timeout`` seconds."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        result = subprocess.run(
+            [sys.executable, *PYTEST], cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    finally:
+        shutil.rmtree(root / ".hypothesis", ignore_errors=True)
+    return result.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    paths = [Path(arg).resolve() for arg in argv]
+    if not paths:
+        print("usage: python tests/mutation_sweep.py MODULE...", file=sys.stderr)
+        return 2
+    root = next(p for p in paths[0].parents if p.name == "src").parent
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(root, copy, ignore=_NOT_COPIED)
+        start = time.monotonic()
+        if not _run_tests(copy, timeout=3600):
+            print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
+            return 1
+        timeout = max(60.0, 5 * (time.monotonic() - start))
+        survivors, total = [], 0
+        for path in paths:
+            target = copy / path.relative_to(root)
+            original = target.read_text(encoding="utf-8")
+            for mutant in mutants(path):
+                total += 1
+                target.write_text(mutant.source, encoding="utf-8")
+                try:
+                    if _run_tests(copy, timeout):
+                        survivors.append(mutant)
+                finally:
+                    target.write_text(original, encoding="utf-8")
+    known = 0
+    for m in survivors:
+        reason = EQUIVALENT.get(m.key)
+        known += reason is not None
+        verdict = f"equivalent: {reason}" if reason else "NOT KILLED"
+        print(f"{m.module}:{m.line}: {m.comparison}  ->  flipped to {m.flipped_to}  [{verdict}]")
+    print(f"{total} mutants, {total - len(survivors)} killed, {len(survivors)} survived ({known} known equivalent)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -521,7 +521,7 @@ def test_importing_the_cli_builds_no_ray_set_and_no_singlet():
     code = """
 import contextsim.cli
 from contextsim import observables, states
-caches = (observables._named_rays, states.spin1_singlet, states.spin32_singlet)
+caches = (observables._named_rays, states.singlet)
 print(sum(f.cache_info().currsize for f in caches))
 observables.ks_context(1, 2, 3), observables.ks_context_prime(1, 2, 3)
 observables.four_dim_contexts(1, 2, 3, 4), states.singlet(3), states.singlet(4)
@@ -740,6 +740,62 @@ def test_sample_rejects_a_csv_on_standard_output_without_out(tmp_path):
     assert result.returncode == 1
     assert len(result.stderr.strip().splitlines()) == 1
     assert stdout.read_bytes() == b""
+
+
+def copy_of_the_d3_basis(path):
+    path.write_bytes(GOLDEN_D3_BASIS.read_bytes())
+    return str(path)
+
+
+def test_expectation_refuses_a_report_over_its_basis_file(tmp_path, capsys):
+    basis = copy_of_the_d3_basis(tmp_path / "b.json")
+    argv = ["expectation", "--scenario", "custom", "--basis-file", basis, "--out", basis]
+    assert_exits_with(capsys, 1, f"error: the JSON report would overwrite the basis file {basis}; give it another path", argv)
+    assert Path(basis).read_bytes() == GOLDEN_D3_BASIS.read_bytes()
+
+
+def test_sample_refuses_a_csv_over_its_basis_file(tmp_path, capsys):
+    basis = copy_of_the_d3_basis(tmp_path / "b.json")
+    argv = ["sample", "--scenario", "custom", "--basis-file", basis, "--csv", basis, "--out", str(tmp_path / "r.json")]
+    assert_exits_with(capsys, 1, f"error: the shot CSV would overwrite the basis file {basis}; give it another path", argv)
+    assert Path(basis).read_bytes() == GOLDEN_D3_BASIS.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
+
+
+def test_sample_refuses_a_csv_derived_from_out_over_its_basis_file(tmp_path, capsys):
+    # --out b.json puts the shot CSV in b.csv, the basis file.
+    basis = copy_of_the_d3_basis(tmp_path / "b.csv")
+    argv = ["sample", "--scenario", "custom", "--basis-file", basis, "--out", str(tmp_path / "b.json")]
+    assert_exits_with(capsys, 1, f"error: the shot CSV would overwrite the basis file {basis}; give it another path", argv)
+    assert Path(basis).read_bytes() == GOLDEN_D3_BASIS.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"]
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_a_report_on_standard_output_may_not_append_to_its_basis_file(tmp_path):
+    # Without --out the report goes to standard output, here the basis file opened for appending.
+    basis = copy_of_the_d3_basis(tmp_path / "b.json")
+    with open(basis, "ab") as handle:
+        result = subprocess.run(
+            [sys.executable, "-m", "contextsim.cli", "expectation", "--scenario", "custom", "--basis-file", basis],
+            stdout=handle,
+            stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 1
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert Path(basis).read_bytes() == GOLDEN_D3_BASIS.read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf"])
+@pytest.mark.parametrize("command", ["joint", "sample"])
+def test_a_bad_tol_is_refused_by_the_support_rule_before_anything_is_written(tmp_path, capsys, command, tol):
+    csv = tmp_path / "shots.csv"
+    argv = [command, "--scenario", "ks-mixed", f"--tol={tol}"]
+    if command == "sample":
+        argv += ["--shots", "10", "--csv", str(csv)]
+    line = f"error: support threshold must be finite and nonnegative, not {float(tol)}"
+    assert_exits_with(capsys, 1, line, argv)
+    assert not csv.exists()
 
 
 def test_unallocatable_shot_count_exits_with_one_line(tmp_path, capsys):

@@ -372,6 +372,25 @@ def test_support_is_the_mask_above_tol_and_never_empty():
         verify_uniqueness(table, tol=0.5)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_uniqueness_rejects_a_negative_or_non_finite_threshold(tol):
+    # A negative threshold would count the exact zeros of this slot bijection
+    # as populated and report it as one block.
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context(4, 5, 6))
+    with pytest.raises(ValueError, match="support threshold must be finite and nonnegative"):
+        verify_uniqueness(table, tol=tol)
+    with pytest.raises(ValueError, match="support threshold must be finite and nonnegative"):
+        table.support(tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0])
+def test_uniqueness_accepts_a_zero_threshold_of_either_sign(tol):
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context(4, 5, 6))
+    report = verify_uniqueness(table, tol=tol)
+    assert report.status == "unique"
+    assert report.violation_mass == 0.0
+
+
 def test_criterion_mass_vanishes_on_mixed_tables():
     mixed3 = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context_prime(4, 5, 6))
     report = contextuality_criterion(mixed3, [(0, 1), (0, 2), (1, 0), (2, 0)])

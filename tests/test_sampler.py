@@ -1,5 +1,6 @@
 """Tests for the seeded shot sampler and empirical reporting."""
 
+import math
 import os
 import stat
 
@@ -145,6 +146,28 @@ def test_zero_shot_csv_is_header_only(tmp_path):
     assert path.read_text().splitlines() == [
         "shot,left_slot,left_eigenvalue,right_slot,right_eigenvalue"
     ]
+
+
+def test_an_empty_run_has_no_deviation():
+    # No shot, no frequency to compare: the deviation is None (JSON null), not nan.
+    report = empirical_report(np.empty(0, dtype=np.uint8), mixed_table())
+    assert report.total_shots == 0
+    assert not report.counts.any()
+    assert report.max_abs_deviation is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_a_negative_or_non_finite_threshold_is_rejected(tol):
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context(4, 5, 6))
+    with pytest.raises(ValueError, match="support threshold must be finite and nonnegative"):
+        sample(table, 10, 1, support_threshold=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0])
+def test_a_zero_threshold_of_either_sign_drops_only_exact_zeros(tol):
+    table = joint_distribution(spin1_singlet(), ks_context(1, 2, 3), ks_context(4, 5, 6))
+    shots = sample(table, 1000, 1, support_threshold=tol)
+    assert np.array_equal(np.unique(shots), np.flatnonzero(table.probabilities > 0.0))
 
 
 def test_batch_loop_is_bounded_by_the_shots():

@@ -29,11 +29,43 @@ def partial_trace(rho, d, over_right):
     return np.einsum("ikil->kl", r)
 
 
+def literal_spin1_singlet():
+    """The spin-1 singlet written out entry by entry: the oracle for :func:`singlet`'s closed form."""
+    amplitudes = np.zeros(9, dtype=complex)
+    s = 1.0 / math.sqrt(3.0)
+    amplitudes[2] = s
+    amplitudes[4] = -s
+    amplitudes[6] = s
+    return amplitudes
+
+
+def literal_spin32_singlet():
+    """The spin-3/2 singlet written out entry by entry, in descending spin projection."""
+    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes[3] = 0.5
+    amplitudes[12] = -0.5
+    amplitudes[6] = -0.5
+    amplitudes[9] = 0.5
+    return amplitudes
+
+
+@pytest.mark.parametrize("d, literal", [(3, literal_spin1_singlet), (4, literal_spin32_singlet)])
+def test_the_closed_form_singlet_equals_its_literal_table_byte_for_byte(d, literal):
+    amp = singlet(d).amplitudes
+    assert amp.dtype == np.complex128 and amp.shape == (d * d,)
+    assert amp.tobytes() == literal().tobytes()
+
+
+def test_the_named_singlets_are_the_cached_closed_forms():
+    assert spin1_singlet() is singlet(3)
+    assert spin32_singlet() is singlet(4)
+
+
 def test_spin1_singlet_amplitudes():
     amp = spin1_singlet().amplitudes
     s = 1.0 / math.sqrt(3.0)
-    assert abs(amp[4] - (-s)) < 1e-15
-    assert abs(amp[2] - s) < 1e-15 and abs(amp[6] - s) < 1e-15
+    assert amp[4] == -s
+    assert amp[2] == s and amp[6] == s
     for k in (0, 1, 3, 5, 7, 8):
         assert amp[k] == 0.0
     assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
@@ -71,6 +103,12 @@ def test_state_validation_rejects_a_small_dimension_and_a_wrong_length():
         BipartiteState(local_dim=1, amplitudes=np.ones(1))
     with pytest.raises(ValueError, match="expected 9 amplitudes, got 4"):
         BipartiteState(local_dim=3, amplitudes=np.full(4, 0.5))
+
+
+def test_state_validation_accepts_the_smallest_local_dimension():
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    state = BipartiteState(local_dim=2, amplitudes=bell)
+    assert state.density_matrix.dim == 4
 
 
 def test_density_matrix_rejects_a_non_hermitian_or_non_unit_trace_matrix():
