@@ -14,6 +14,7 @@ states are enumerated once per diagram, into one bit matrix that
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -118,9 +119,10 @@ class TwoValuedStates(Sequence):
     over its ``state_bits`` and atom ids, in the matrix's row order.
 
     Reading an item builds a :class:`TwoValuedState` with a fresh dict,
-    which a caller may change freely; the matrix itself is shared. Iteration
-    runs through the integer index and ends on numpy's IndexError. A plain
-    class: a dataclass would cost import time in every process.
+    which a caller may change freely; the matrix itself is shared. Keys are
+    integers only, as for a list: a slice, array or float raises TypeError.
+    Iteration runs through the integer index and ends on numpy's IndexError.
+    A plain class: a dataclass would cost import time in every process.
     """
 
     __slots__ = ("atom_ids", "bits")
@@ -133,7 +135,7 @@ class TwoValuedStates(Sequence):
         return len(self.bits)
 
     def __getitem__(self, k: int) -> TwoValuedState:
-        return TwoValuedState(assignment=dict(zip(self.atom_ids, self.bits[k].tolist())))
+        return TwoValuedState(assignment=dict(zip(self.atom_ids, self.bits[operator.index(k)].tolist())))
 
 
 def rays_match(u: np.ndarray, v: np.ndarray) -> bool:

@@ -1,9 +1,11 @@
-"""Flip comparison operators in modules one at a time and run the tests.
+"""Mutate modules one change at a time and run the tests.
 
     python tests/mutation_sweep.py src/contextsim/states.py src/contextsim/correlations.py
 
-Each ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` in the named modules is
-flipped to its partner, one mutant at a time. The repository that holds
+Three kinds of mutant are made in the named modules, one at a time: each
+``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` is flipped to its partner, each
+``and`` is swapped for ``or`` and each ``or`` for ``and``, and each ``raise``
+statement is replaced by ``pass``. The repository that holds
 the modules (the parent of their ``src`` directory) is copied once to a
 temporary directory, without ``.git`` and caches; each mutant is written
 into that copy, its tests run there with ``src`` on ``PYTHONPATH`` as
@@ -31,14 +33,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
-_OPERATOR = re.compile(r"<=|>=|==|!=|<|>")
+SWAPS = {ast.And: "or", ast.Or: "and"}
+# Group 1 is the operator; the first alternative skips a comment between
+# the operands, which may itself hold an operator.
+_OPERATOR = re.compile(r"#.*|(<=|>=|==|!=|<|>)")
+_BOOL_OPERATOR = re.compile(r"#.*|\b(and|or)\b")
 # The sweep's own tests are left out: their check that every EQUIVALENT key
-# names a comparison in src fails on any mutant of a listed comparison.
+# names a mutant in src fails on any mutant of a listed expression.
 PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--ignore=tests/test_mutation_sweep.py"]
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
 
-# Survivors that no test can kill, keyed by (module file name, the
-# comparison's source text, the operator it is flipped to), with the reason.
+# Survivors that no test can kill, keyed by (module file name, the mutated
+# expression's or statement's source text, its replacement), with the reason.
 # Most are a float compared with a tolerance, where only exact equality with
 # the bound tells the two operators apart.
 EQUIVALENT = {
@@ -62,21 +68,23 @@ EQUIVALENT = {
 
 @dataclass(frozen=True)
 class Mutant:
-    """One flipped operator: ``source`` is the whole mutated module."""
+    """One mutated place: ``original`` is the source text of the comparison,
+    boolean expression or raise statement that holds it, ``replacement`` the
+    operator or statement put in, and ``source`` the whole mutated module."""
 
     module: str
     line: int
-    comparison: str
-    flipped_to: str
+    original: str
+    replacement: str
     source: str
 
     @property
     def key(self) -> tuple[str, str, str]:
-        return self.module, self.comparison, self.flipped_to
+        return self.module, self.original, self.replacement
 
 
 def mutants(path: Path) -> list[Mutant]:
-    """Every single-operator flip of the module at ``path``, in source order."""
+    """Every single-place mutant of the module at ``path``, in source order."""
     source = path.read_text(encoding="utf-8")
     # ast numbers lines by "\n" alone; str.splitlines also splits at \f, \x1c and others.
     lines = source.split("\n")
@@ -86,21 +94,30 @@ def mutants(path: Path) -> list[Mutant]:
         # ast columns count UTF-8 bytes; the text is indexed by character.
         return starts[lineno - 1] + len(lines[lineno - 1].encode()[:byte_col].decode())
 
+    def mutant(node: ast.AST, start: int, end: int, replacement: str) -> tuple[int, Mutant]:
+        original = " ".join(ast.get_source_segment(source, node).split())
+        line = source.count("\n", 0, start) + 1
+        return start, Mutant(path.name, line, original, replacement, source[:start] + replacement + source[end:])
+
+    def between(node: ast.AST, pattern: re.Pattern, before: ast.AST, after: ast.AST, replacement: str):
+        lo, hi = offset(before.end_lineno, before.end_col_offset), offset(after.lineno, after.col_offset)
+        match = next(m for m in pattern.finditer(source, lo, hi) if m.group(1))
+        return mutant(node, match.start(1), match.end(1), replacement)
+
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Compare):
-            continue
-        comparison = " ".join(ast.get_source_segment(source, node).split())
-        operands = [node.left, *node.comparators]
-        for op, before, after in zip(node.ops, operands, operands[1:]):
-            if type(op) not in FLIPS:
-                continue
-            lo, hi = offset(before.end_lineno, before.end_col_offset), offset(after.lineno, after.col_offset)
-            match = _OPERATOR.search(source, lo, hi)
-            mutated = source[: match.start()] + FLIPS[type(op)] + source[match.end() :]
-            line = source.count("\n", 0, match.start()) + 1
-            found.append((match.start(), Mutant(path.name, line, comparison, FLIPS[type(op)], mutated)))
-    return [mutant for _, mutant in sorted(found, key=lambda pair: pair[0])]
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, before, after in zip(node.ops, operands, operands[1:]):
+                if type(op) in FLIPS:
+                    found.append(between(node, _OPERATOR, before, after, FLIPS[type(op)]))
+        elif isinstance(node, ast.BoolOp):
+            for before, after in zip(node.values, node.values[1:]):
+                found.append(between(node, _BOOL_OPERATOR, before, after, SWAPS[type(node.op)]))
+        elif isinstance(node, ast.Raise):
+            start, end = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+            found.append(mutant(node, start, end, "pass"))
+    return [m for _, m in sorted(found, key=lambda pair: pair[0])]
 
 
 def _run_tests(root: Path, timeout: float) -> bool:
@@ -148,7 +165,7 @@ def main(argv: list[str]) -> int:
         reason = EQUIVALENT.get(m.key)
         known += reason is not None
         verdict = f"equivalent: {reason}" if reason else "NOT KILLED"
-        print(f"{m.module}:{m.line}: {m.comparison}  ->  flipped to {m.flipped_to}  [{verdict}]")
+        print(f"{m.module}:{m.line}: {m.original}  ->  {m.replacement}  [{verdict}]")
     print(f"{total} mutants, {total - len(survivors)} killed, {len(survivors)} survived ({known} known equivalent)")
     return 0
 

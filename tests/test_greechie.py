@@ -353,6 +353,22 @@ def test_each_call_returns_fresh_state_dicts():
     assert second[0].assignment is not first[0].assignment
 
 
+def test_states_take_integer_keys_only():
+    states = two_valued_states(diagram_from_contexts([ks_context(1, 2, 3), ks_context_prime(4, 5, 6)]))
+    rows = [dict(zip(states.atom_ids, row)) for row in states.bits.tolist()]
+    for key in (0, 4, -1, -5, np.int64(2), np.uint8(3), True, False):
+        assert states[key].assignment == rows[key]
+    for key in (slice(0, 2), np.array([0, 1]), 1.0, "0", None):
+        with pytest.raises(TypeError):
+            states[key]
+    for key in (5, -6):
+        with pytest.raises(IndexError):
+            states[key]
+    assert [state.assignment for state in states] == rows
+    assert [state.assignment for state in reversed(states)] == rows[::-1]
+    assert states[2] in states and states.index(states[3]) == 3
+
+
 def test_state_bit_matrix_is_read_only():
     bits = tripod_diagram().state_bits
     assert bits.dtype == np.uint8 and not bits.flags.writeable
@@ -398,6 +414,14 @@ def test_diagram_validation_rejects_malformed_blocks():
     for blocks in MALFORMED_BLOCKS:
         with pytest.raises(ValueError):
             GreechieDiagram(atom_ids=("a", "b", "c"), blocks=blocks, dim=3)
+
+
+def test_diagram_validation_names_a_row_of_the_wrong_width():
+    # The later checks would reject these rows too, under a wrong name:
+    # "repeats an atom", or numpy's reshape error.
+    for blocks in (((0, 1),), ((0, 1, 2, 3),), np.array([[0, 1]])):
+        with pytest.raises(ValueError, match="does not have 3 atoms"):
+            GreechieDiagram(atom_ids=("a", "b", "c", "d"), blocks=blocks, dim=3)
 
 
 def test_diagram_validation_rejects_duplicate_ids():
