@@ -60,23 +60,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_VALIDATION)
 
 
-def _round15(obj):
-    """A report as JSON values: arrays become lists, floats are rendered at
-    15 significant digits for stable, lossless JSON, and containers are copied."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.15g}")
-    if isinstance(obj, (list, tuple)):
-        return [_round15(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
-    return obj
-
-
 def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indented JSON, arrays as lists and every float
+    re-read at 15 significant digits for stable, lossless JSON. The payload,
+    then its compact text, is dropped once read, so a large report passed
+    as the caller's only reference is never held twice."""
+    compact = json.dumps(payload, default=lambda value: value.tolist())
+    del payload
+    rounded = json.loads(compact, parse_float=lambda text: float(f"{float(text):.15g}"))
+    del compact
     # allow_nan=False: a non-finite value is a ValueError (exit 1), never Infinity/NaN JSON.
-    text = json.dumps(_round15(payload), indent=2, allow_nan=False) + "\n"
+    text = json.dumps(rounded, indent=2, allow_nan=False) + "\n"
     if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -419,8 +413,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         # numpy would only warn on overflow; here it is an input error with one stderr line.
         with np.errstate(over="raise", invalid="raise"):
-            payload = args.handler(args)
-        _emit(payload, args.out)
+            _emit(args.handler(args), args.out)
     except ConsistencyFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class JointTable:
     slot j, labelled ``right_spectrum[j]``. Complex probabilities are rejected.
     Probabilities below ``NEGATIVE_FLOOR``, or NaN, signal a broken
     projector and are rejected; tiny negative roundoff is clamped to zero.
-    The clamped table must sum to 1 within ``NORMALIZATION_TOL``.
+    The clamped table must sum to 1 within ``NORMALIZATION_TOL``. It is
+    stored as a read-only float64 copy; the caller's array is left as it is.
     """
 
     left_spectrum: tuple[float, ...]
@@ -55,6 +57,7 @@ class JointTable:
         total = float(p.sum())
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
     @property
@@ -248,16 +251,22 @@ def contextuality_criterion(
     """Probability report over the cells a contextual account predicts to
     be populated; quantum mechanics predicts zero total mass on them.
 
-    Raises BadCellIndexError for a cell outside the table or listed twice
-    (its probability would count twice in the mass)."""
+    Each index is read as an integer, as a list index is (``True`` is 1).
+    Raises BadCellIndexError for a cell that is not a pair of integers, is
+    outside the table or is listed twice (its probability would count twice
+    in the mass)."""
     n, m = table.shape
     cells = {}
-    for i, j in forbidden:
+    for cell in forbidden:
+        try:
+            i, j = map(operator.index, cell)
+        except (TypeError, ValueError):
+            raise BadCellIndexError(f"cell {cell!r} is not a pair of integer indices") from None
         if not (0 <= i < n and 0 <= j < m):
             raise BadCellIndexError(f"cell ({i}, {j}) outside a {n}x{m} table")
         if (i, j) in cells:
             raise BadCellIndexError(f"cell ({i}, {j}) listed twice")
-        cells[int(i), int(j)] = float(table.probabilities[i, j])
+        cells[i, j] = float(table.probabilities[i, j])
     mass = float(sum(cells.values()))
     return CriterionReport(forbidden_cells=tuple((i, j, p) for (i, j), p in cells.items()), contextual_mass=mass)
 

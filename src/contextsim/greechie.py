@@ -223,8 +223,6 @@ def is_separating(
     ids = diagram.atom_ids
     if not (isinstance(states, TwoValuedStates) and states.atom_ids == ids):
         raise TypeError("states must be a TwoValuedStates view over the diagram's atom ids")
-    if len(ids) < 2:
-        return True, None
     bits = states.bits
     n = len(bits)
     # Column j of the bit matrix is raw[j * n : (j + 1) * n].

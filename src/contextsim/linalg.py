@@ -48,10 +48,13 @@ def is_unitary(a) -> bool:
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """The rows of ``m`` divided by their norms: the one normalization of a
     ray and the one zero-ray check. Raises ZeroVectorError for a row whose
-    norm is zero, or underflows to zero as a subnormal row's squares do."""
+    norm is zero, or underflows to zero as a subnormal row's squares do, and
+    ValueError for one whose norm overflows to inf (entries above ~1e154)."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if not (norms > 0.0).all():
         raise ZeroVectorError("cannot normalize a ray whose norm is zero or underflows")
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot normalize a ray whose norm overflows double precision")
     return m / norms
 
 

@@ -4,8 +4,10 @@
 
 Three kinds of mutant are made in the named modules, one at a time: each
 ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` is flipped to its partner, each
-``and`` is swapped for ``or`` and each ``or`` for ``and``, and each ``raise``
-statement is replaced by ``pass``. The repository that holds
+``and`` is swapped for ``or`` and each ``or`` for ``and``, and each statement
+inside a function body, docstrings aside, is replaced by ``pass``. A
+compound statement goes whole (an ``elif`` with the branches after it), and
+each statement inside it is a mutant of its own. The repository that holds
 the modules (the parent of their ``src`` directory) is copied once to a
 temporary directory, without ``.git`` and caches; each mutant is written
 into that copy, its tests run there with ``src`` on ``PYTHONPATH`` as
@@ -44,9 +46,9 @@ PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-se
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
 
 # Survivors that no test can kill, keyed by (module file name, the mutated
-# expression's or statement's source text, its replacement), with the reason.
-# Most are a float compared with a tolerance, where only exact equality with
-# the bound tells the two operators apart.
+# expression's source text or the deleted statement's first line, its
+# replacement), with the reason. Most are a float compared with a tolerance,
+# where only exact equality with the bound tells the two operators apart.
 EQUIVALENT = {
     ("sampler.py", "dropped > NORMALIZATION_TOL", ">="): "dropped mass exactly equal to the bound",
     ("greechie.py", "len(rows) > 1", ">="): "sorting a single row leaves it as it is",
@@ -63,14 +65,18 @@ EQUIVALENT = {
     ("observables.py", "theta > math.pi", ">="): "theta = pi folds phi differently for the same pole",
     ("observables.py", "abs(spectrum[i] - spectrum[j]) <= tol", "<"): "an eigenvalue gap exactly MERGE_TOL",
     ("observables.py", "float(np.abs(defect).max()) > BASIS_TOL", ">="): "a Gram defect exactly BASIS_TOL",
+    ("sampler.py", 'tails = tails.view(f"V{tails.itemsize}")', "pass"): "numpy copies bytes (S) elements byte for byte too; the view states that the copy is raw",
+    ("cli.py", "del payload", "pass"): "frees the report early, for peak memory only; no output byte changes",
+    ("cli.py", "del compact", "pass"): "frees the compact text early, for peak memory only; no output byte changes",
 }
 
 
 @dataclass(frozen=True)
 class Mutant:
-    """One mutated place: ``original`` is the source text of the comparison,
-    boolean expression or raise statement that holds it, ``replacement`` the
-    operator or statement put in, and ``source`` the whole mutated module."""
+    """One mutated place: ``original`` is the source text of the comparison
+    or boolean expression that holds it, or the first line of the deleted
+    statement, ``replacement`` the operator or statement put in, and
+    ``source`` the whole mutated module."""
 
     module: str
     line: int
@@ -95,7 +101,8 @@ def mutants(path: Path) -> list[Mutant]:
         return starts[lineno - 1] + len(lines[lineno - 1].encode()[:byte_col].decode())
 
     def mutant(node: ast.AST, start: int, end: int, replacement: str) -> tuple[int, Mutant]:
-        original = " ".join(ast.get_source_segment(source, node).split())
+        segment = ast.get_source_segment(source, node)
+        original = " ".join((segment.split("\n")[0] if isinstance(node, ast.stmt) else segment).split())
         line = source.count("\n", 0, start) + 1
         return start, Mutant(path.name, line, original, replacement, source[:start] + replacement + source[end:])
 
@@ -104,8 +111,22 @@ def mutants(path: Path) -> list[Mutant]:
         match = next(m for m in pattern.finditer(source, lo, hi) if m.group(1))
         return mutant(node, match.start(1), match.end(1), replacement)
 
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    docstrings = {id(f.body[0]) for f in functions if ast.get_docstring(f) is not None}
+    # A nested function's statements are reached from both functions; the dict keeps one of each.
+    statements = {
+        id(node): node
+        for f in functions
+        for top in f.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.stmt) and id(node) not in docstrings
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in statements.values():
+        start, end = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+        found.append(mutant(node, start, end, "pass"))
+    for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             for op, before, after in zip(node.ops, operands, operands[1:]):
@@ -114,9 +135,6 @@ def mutants(path: Path) -> list[Mutant]:
         elif isinstance(node, ast.BoolOp):
             for before, after in zip(node.values, node.values[1:]):
                 found.append(between(node, _BOOL_OPERATOR, before, after, SWAPS[type(node.op)]))
-        elif isinstance(node, ast.Raise):
-            start, end = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
-            found.append(mutant(node, start, end, "pass"))
     return [m for _, m in sorted(found, key=lambda pair: pair[0])]
 
 

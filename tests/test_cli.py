@@ -615,9 +615,23 @@ def test_mismatched_basis_sizes_name_both_sizes(tmp_path, capsys):
 
 def test_basis_file_must_hold_an_object(tmp_path, capsys):
     basis = write_basis_file(tmp_path / "b.json", [BASIS_3, BASIS_3])
-    assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+    assert_exits_with(capsys, 1, "error: basis file must hold a JSON object", ["states", "--scenario", "custom", "--basis-file", basis])
     basis = write_basis_file(tmp_path / "c.json", {"contexts": 5})
     assert_one_line_validation_failure(capsys, "states", "--scenario", "custom", "--basis-file", basis)
+
+
+@pytest.mark.parametrize("command", ["expectation", "states"])
+def test_basis_file_must_define_both_sides(tmp_path, capsys, command):
+    basis = write_basis_file(tmp_path / "b.json", {"left": BASIS_3})
+    line = "error: basis file must define 'left' and 'right' bases"
+    assert_exits_with(capsys, 1, line, [command, "--scenario", "custom", "--basis-file", basis])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_eigenvalue_exits_with_one_line(capsys, value):
+    # Unchecked, inf reads as a degenerate spectrum and nan reaches a later error.
+    line = "error: eigenvalues must be finite"
+    assert_exits_with(capsys, 1, line, ["expectation", "--scenario", "ks-mixed", f"--left=1,2,{value}"])
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -932,3 +946,47 @@ def test_rays_written_to_eight_digits_give_the_exact_basis_prediction(tmp_path, 
         assert code == 0
         results.append(data["expectation"])
     assert results[0] == pytest.approx(results[1], rel=1e-14)
+
+
+def test_emit_renders_each_float_at_15_significant_digits(capsys):
+    payload = {
+        "floats": [-0.0, 1e-300, 1e16, 2500.0, 0.1 + 0.2, 1 / 3],
+        "tuple": (1, 0.5),
+        "array": np.array([[0.1, 1e-7], [2.0, -1 / 3]]),
+        "none": None,
+        "flag": True,
+        "text": 'é"',
+    }
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == """{
+  "floats": [
+    -0.0,
+    1e-300,
+    1e+16,
+    2500.0,
+    0.3,
+    0.333333333333333
+  ],
+  "tuple": [
+    1,
+    0.5
+  ],
+  "array": [
+    [
+      0.1,
+      1e-07
+    ],
+    [
+      2.0,
+      -0.333333333333333
+    ]
+  ],
+  "none": null,
+  "flag": true,
+  "text": "\\u00e9\\""
+}
+"""
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^Out of range float values are not JSON compliant: {bad}$"):
+            cli._emit({"x": [1.0, bad]}, None)
+    assert capsys.readouterr().out == ""

@@ -11,6 +11,7 @@ from oracles import breadth_first_components
 from contextsim import correlations, greechie
 from contextsim.correlations import (
     JointTable,
+    _permutations,
     _support_components,
     contextuality_criterion,
     expectation,
@@ -456,3 +457,34 @@ def test_marginals_are_maximally_mixed():
         assert np.max(np.abs(left - 1.0 / d)) < 1e-12
         assert np.max(np.abs(right - 1.0 / d)) < 1e-12
         assert np.allclose(table.probabilities.sum(axis=1), left)
+
+
+def test_criterion_reads_each_cell_as_an_integer():
+    report = contextuality_criterion(uniform_table(3), [(True, 1), (np.int64(2), np.uint8(0))])
+    assert report.forbidden_cells == ((1, 1, 1 / 9), (2, 0, 1 / 9))
+    assert all(type(x) is int for i, j, _ in report.forbidden_cells for x in (i, j))
+    for cell in ((0.0, 1), (0, np.float64(1.0)), ("0", 1), (1, 2, 0), (1,), 5):
+        with pytest.raises(BadCellIndexError, match="is not a pair of integer indices"):
+            contextuality_criterion(uniform_table(3), [cell])
+
+
+def test_a_table_stores_a_read_only_clamped_float64_copy():
+    p = np.array([[0.5, -1e-13], [0.0, 0.5]])
+    table = JointTable((1.0, 2.0), (3.0, 4.0), p)
+    assert table.probabilities[0, 1] == 0.0 and p[0, 1] == -1e-13
+    assert p.flags.writeable and not table.probabilities.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.probabilities[0, 0] = 0.9
+    # numpy 2 keeps float32 through np.maximum with a Python float.
+    single = JointTable((1.0, 2.0), (3.0, 4.0), np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.float32))
+    assert single.probabilities.dtype == np.float64
+
+
+def test_a_probability_below_the_floor_names_a_broken_projector():
+    # Clamped instead, the table would be refused for its sum alone.
+    with pytest.raises(ValueError, match="broken projector"):
+        JointTable((1.0, 2.0), (3.0, 4.0), np.array([[1.5, -0.5], [0.0, 0.0]]))
+
+
+def test_the_permutation_table_is_read_only():
+    assert not _permutations(3).flags.writeable

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from contextsim.correlations import sequential_link_test
 from contextsim.errors import NoConvergenceError, NotHermitianError, ZeroVectorError
+from contextsim.greechie import rays_match
 from contextsim.linalg import (
     fix_phase,
     hermitian_eigensystem,
@@ -12,7 +14,7 @@ from contextsim.linalg import (
     projector_from_ray,
     unit_rows,
 )
-from contextsim.observables import Direction, spin1_operator
+from contextsim.observables import Direction, ks_context, spin1_operator
 from contextsim.states import rotation_operator_spin1
 
 
@@ -84,6 +86,9 @@ def test_fix_phase_first_large_entry_real_positive():
     # With no entry above the cutoff the vector comes back as it is.
     small = np.array([1e-9j, -1e-9, 0.0])
     assert fix_phase(small) is small
+    # An entry of modulus exactly PHASE_CUTOFF does not clear it.
+    at_cutoff = np.array([1e-8j, 1.0])
+    assert fix_phase(at_cutoff).tolist() == at_cutoff.tolist()
 
 
 def test_as_matrix_rejects_a_non_square_matrix():
@@ -128,6 +133,14 @@ def test_unitarity_predicate():
     assert not is_unitary(2.0 * u)
 
 
+def test_the_predicates_accept_a_defect_exactly_at_their_tolerance():
+    # Both defects below are exactly HERMITICITY_TOL (1e-10) in floating point.
+    assert is_hermitian(np.array([[0.0, 1e-10], [0.0, 0.0]]))
+    assert is_unitary(np.array([[1.0, 1e-10], [0.0, 1.0]]))
+    assert not is_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]))
+    assert not is_unitary(np.array([[1.0, 2e-10], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_unit_rows_is_bitwise_numpys_norm(d):
     rng = np.random.default_rng(d)
@@ -136,3 +149,18 @@ def test_unit_rows_is_bitwise_numpys_norm(d):
             m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
             expected = m / np.linalg.norm(m, axis=1, keepdims=True)
             assert unit_rows(m).tobytes() == expected.tobytes()
+
+
+def test_a_norm_that_overflows_is_refused():
+    # Entries above ~1.3e154 square to inf, and dividing by an infinite norm
+    # would give a zero unit row. numpy warns of the overflow first.
+    huge = np.array([1e300, 1e300, 0.0])
+    calls = [
+        lambda: unit_rows(huge[None, :]),
+        lambda: projector_from_ray(huge),
+        lambda: rays_match(np.array([1e200, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+        lambda: sequential_link_test(huge, ks_context(1, 2, 3)),
+    ]
+    for call in calls:
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows double precision"):
+            call()

@@ -21,15 +21,10 @@ def clamp(x):
 
 
 def check(x):
+    """x, which must be an int."""
     if not isinstance(x, int):
         raise TypeError(x)
-    return x
-
-
-def unchecked(x):
-    # No test passes None.
-    if x is None:
-        raise ValueError(x)
+    # No test reads the value returned.
     return x
 
 
@@ -43,7 +38,7 @@ def either(a, b):
 '''
 TEST = '''import pytest
 
-from toy.numbers import both, check, clamp, either, is_positive, unchecked
+from toy.numbers import both, check, clamp, either, is_positive
 
 
 def test_is_positive():
@@ -54,10 +49,9 @@ def test_clamp():
     assert clamp(-1) == 0 and clamp(2) == 2
 
 
-def test_checks():
+def test_check():
     with pytest.raises(TypeError):
         check("1")
-    assert unchecked(2) == 2
 
 
 def test_boolean_operators():
@@ -81,21 +75,29 @@ def test_mutants_flip_one_operator_each_in_source_order(tmp_path):
     module = write_toy(tmp_path)
     found = mutants(module)
     assert [(m.line, m.original, m.replacement) for m in found] == [
+        (5, "return x > 0", "pass"),
         (5, "x > 0", ">="),
+        (10, "if x < 0:", "pass"),
         (10, "x < 0", "<="),
-        (17, "raise TypeError(x)", "pass"),
-        (24, "raise ValueError(x)", "pass"),
-        (29, "a and b", "or"),
-        (34, "a or b", "and"),
+        (11, "return 0", "pass"),
+        (12, "return x", "pass"),
+        (17, "if not isinstance(x, int):", "pass"),
+        (18, "raise TypeError(x)", "pass"),
+        (20, "return x", "pass"),
+        (24, "return a and b", "pass"),
+        (24, "a and b", "or"),
+        (29, "return a or b", "pass"),
+        (29, "a or b", "and"),
     ]
-    assert found[0].source == MODULE.replace("x > 0", "x >= 0")
-    assert found[1].source == MODULE.replace("x < 0", "x <= 0")
-    assert found[2].source == MODULE.replace("raise TypeError(x)", "pass")
-    assert found[3].source == MODULE.replace("raise ValueError(x)", "pass")
-    assert found[4].source == MODULE.replace("a and b", "a or b")
-    assert found[5].source == MODULE.replace("a or b", "a and b")
-    assert found[2].key == ("numbers.py", "raise TypeError(x)", "pass")
-    assert found[5].key == ("numbers.py", "a or b", "and")
+    assert found[1].source == MODULE.replace("x > 0", "x >= 0")
+    assert found[3].source == MODULE.replace("x < 0", "x <= 0")
+    # A compound statement goes whole; the docstring is no mutant.
+    assert found[2].source == MODULE.replace("if x < 0:\n        return 0", "pass")
+    assert found[7].source == MODULE.replace("raise TypeError(x)", "pass")
+    assert found[10].source == MODULE.replace("a and b", "a or b")
+    assert found[12].source == MODULE.replace("a or b", "a and b")
+    assert found[6].key == ("numbers.py", "if not isinstance(x, int):", "pass")
+    assert found[12].key == ("numbers.py", "a or b", "and")
 
 
 def test_chained_comparisons_and_non_ascii_lines_flip_the_right_operator(tmp_path):
@@ -103,6 +105,7 @@ def test_chained_comparisons_and_non_ascii_lines_flip_the_right_operator(tmp_pat
     module.parent.mkdir()
     module.write_text('def inside(i, n):\n    return "λ" != "μ" and 0 <= i < n\n')
     assert [m.source.splitlines()[1] for m in mutants(module)] == [
+        "    pass",
         '    return "λ" == "μ" and 0 <= i < n',
         '    return "λ" != "μ" or 0 <= i < n',
         '    return "λ" != "μ" and 0 < i < n',
@@ -115,6 +118,7 @@ def test_operators_in_a_comment_between_operands_stay_as_they_are(tmp_path):
     module.parent.mkdir()
     module.write_text("def f(a, b):\n    return (a  # a < b or not\n            and b) == (a  # or <\n                       < b)\n")
     assert [m.source.splitlines()[1:] for m in mutants(module)] == [
+        ["    pass"],
         ["    return (a  # a < b or not", "            or b) == (a  # or <", "                       < b)"],
         ["    return (a  # a < b or not", "            and b) != (a  # or <", "                       < b)"],
         ["    return (a  # a < b or not", "            and b) == (a  # or <", "                       <= b)"],
@@ -126,9 +130,9 @@ def test_main_kills_one_mutant_reports_the_survivor_and_leaves_the_tree_alone(tm
     assert main([str(module)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "numbers.py:10: x < 0  ->  <=  [NOT KILLED]",
-        "numbers.py:24: raise ValueError(x)  ->  pass  [NOT KILLED]",
-        "numbers.py:34: a or b  ->  and  [NOT KILLED]",
-        "6 mutants, 3 killed, 3 survived (0 known equivalent)",
+        "numbers.py:20: return x  ->  pass  [NOT KILLED]",
+        "numbers.py:29: a or b  ->  and  [NOT KILLED]",
+        "13 mutants, 10 killed, 3 survived (0 known equivalent)",
     ]
     assert module.read_text() == MODULE
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["__init__.py", "numbers.py", "test_toy.py"]
@@ -136,6 +140,6 @@ def test_main_kills_one_mutant_reports_the_survivor_and_leaves_the_tree_alone(tm
 
 def test_every_known_equivalent_names_a_comparison_in_the_package():
     # Keys are source text, so an edit of the comparison, boolean expression
-    # or raise statement must edit its key too.
+    # or statement's first line must edit its key too.
     present = {m.key for path in SRC.glob("*.py") for m in mutants(path)}
     assert set(EQUIVALENT) <= present

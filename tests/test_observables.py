@@ -339,3 +339,10 @@ def test_context_outcome_projectors_resolve_identity():
     for context in (ks_context(1, 2, 3), ks_context_prime(4, 5, 6), four_dim_contexts(1, 2, 3, 4).C_prime):
         total = sum(projector(ray) for ray in context.basis)
         assert np.max(np.abs(total - np.eye(context.dim))) <= 1e-9
+
+
+def test_a_context_stores_its_spectrum_as_a_tuple_of_floats():
+    assert ks_context(1, 2, 3).spectrum == (1.0, 2.0, 3.0)
+    assert all(type(x) is float for x in ks_context(1, 2, 3).spectrum)
+    context = context_from_basis(np.eye(3), [1, 2, 3])
+    assert type(context.spectrum) is tuple and all(type(x) is float for x in context.spectrum)

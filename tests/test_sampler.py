@@ -241,3 +241,13 @@ def test_null_device_takes_the_csv():
     table = mixed_table()
     write_shot_csv(sample(table, 2 * 10**5 + 7, seed=3), table, os.devnull)
     assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
+def test_a_negative_shot_count_is_refused_by_name():
+    with pytest.raises(ValueError, match="shot count must be nonnegative"):
+        sample(mixed_table(), -1, 0)
+
+
+def test_the_digit_tables_are_read_only():
+    padded, bare = sampler._digit_tables(5)
+    assert not padded.flags.writeable and not bare.flags.writeable

@@ -262,3 +262,9 @@ def test_a_state_carries_one_density_matrix_and_the_singlets_are_shared():
     assert density(state) is density(state)
     assert singlet(3) is spin1_singlet() and singlet(4) is spin32_singlet()
     assert density(singlet(3)) is density(spin1_singlet())
+
+
+def test_a_norm_off_by_more_than_norm_tol_is_refused():
+    # The density matrix's trace check, at DENSITY_TOL, would let 1 + 2e-11 pass.
+    with pytest.raises(ValueError, match=r"state norm .* deviates from 1"):
+        BipartiteState(local_dim=3, amplitudes=spin1_singlet().amplitudes * (1 + 1e-11))
