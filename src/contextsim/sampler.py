@@ -11,6 +11,8 @@ is refused rather than moving that mass into a kept cell.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,7 +224,11 @@ def write_shot_csv(shots: np.ndarray, table: JointTable, path) -> None:
     tails = np.array(suffixes)
     tails = tails.view(f"V{tails.itemsize}")
     padded, bare = _digit_tables(_CSV_CHUNK_DIGITS)
-    with open(path, "wb") as handle:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        # ext4 flushes on close a file truncated to size 0; cutting an old file to
+        # the header's length drops its rows without starting that flush.
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(len(_CSV_HEADER))
         handle.write(_CSV_HEADER)
         for q, start in enumerate(range(0, len(cells), len(padded))):
             chunk = cells[start : start + len(padded)]

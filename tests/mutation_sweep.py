@@ -6,8 +6,9 @@ Three kinds of mutant are made in the named modules, one at a time: each
 ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` is flipped to its partner, each
 ``and`` is swapped for ``or`` and each ``or`` for ``and``, and each statement
 inside a function body, docstrings aside, is replaced by ``pass``. A
-compound statement goes whole (an ``elif`` with the branches after it), and
-each statement inside it is a mutant of its own. The repository that holds
+compound statement goes whole (an ``elif`` with the branches after it, a
+decorated function with its decorators), and each statement inside it is a
+mutant of its own. The repository that holds
 the modules (the parent of their ``src`` directory) is copied once to a
 temporary directory, without ``.git`` and caches; each mutant is written
 into that copy, its tests run there with ``src`` on ``PYTHONPATH`` as
@@ -15,8 +16,11 @@ into that copy, its tests run there with ``src`` on ``PYTHONPATH`` as
 this script's own tests), and the module is put back. The working tree is never edited. A mutant whose run
 fails, or runs past a timeout, is killed; one whose run passes survived.
 
-Prints every survivor with its line, and the reason from ``EQUIVALENT``
-when it is a known equivalent mutant, then a summary, and exits 0. Exits 1,
+Each mutant is compiled before its tests run. One that does not compile is
+a fault of the sweep, not a kill: it is printed as a sweep error and counted
+apart. Prints every survivor with its line, and the reason from
+``EQUIVALENT`` when it is a known equivalent mutant, then every sweep error
+and a summary, and exits 0, or 1 when there was a sweep error. Exits 1,
 having run no mutant, when the unmutated copy fails its tests.
 """
 
@@ -124,7 +128,9 @@ def mutants(path: Path) -> list[Mutant]:
     }
     found = []
     for node in statements.values():
-        start, end = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+        # A decorated function or class goes with its decorators, which sit at its indentation.
+        first = node.decorator_list[0].lineno if getattr(node, "decorator_list", None) else node.lineno
+        start, end = offset(first, node.col_offset), offset(node.end_lineno, node.end_col_offset)
         found.append(mutant(node, start, end, "pass"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -166,12 +172,18 @@ def main(argv: list[str]) -> int:
             print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
             return 1
         timeout = max(60.0, 5 * (time.monotonic() - start))
-        survivors, total = [], 0
+        survivors, errors, total = [], [], 0
         for path in paths:
             target = copy / path.relative_to(root)
             original = target.read_text(encoding="utf-8")
             for mutant in mutants(path):
                 total += 1
+                try:
+                    compile(mutant.source, str(path), "exec")
+                except SyntaxError as error:
+                    # The sweep made a broken mutant; no test run could say anything of it.
+                    errors.append((mutant, error))
+                    continue
                 target.write_text(mutant.source, encoding="utf-8")
                 try:
                     if _run_tests(copy, timeout):
@@ -184,8 +196,12 @@ def main(argv: list[str]) -> int:
         known += reason is not None
         verdict = f"equivalent: {reason}" if reason else "NOT KILLED"
         print(f"{m.module}:{m.line}: {m.original}  ->  {m.replacement}  [{verdict}]")
-    print(f"{total} mutants, {total - len(survivors)} killed, {len(survivors)} survived ({known} known equivalent)")
-    return 0
+    for m, error in errors:
+        print(f"{m.module}:{m.line}: {m.original}  ->  {m.replacement}  [SWEEP ERROR: does not compile: {error.msg}]")
+    killed = total - len(survivors) - len(errors)
+    summary = f"{total} mutants, {killed} killed, {len(survivors)} survived ({known} known equivalent)"
+    print(summary + (f", {len(errors)} sweep errors" if errors else ""))
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

@@ -130,6 +130,19 @@ def test_a_shorter_rerun_leaves_only_its_own_csv(tmp_path, capsys):
     assert csv.read_bytes() == fresh.read_bytes()
 
 
+def test_a_shorter_rerun_over_the_same_report_and_csv_leaves_only_its_own(tmp_path, monkeypatch):
+    # The report names its CSV, so both runs use the same relative paths.
+    def run(directory, shots):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        argv = ["sample", "--scenario", "ks-mixed", "--shots", shots, "--seed", "5", "--out", "r.json", "--csv", "shots.csv"]
+        assert cli.main(argv) == 0
+        return (directory / "r.json").read_bytes(), (directory / "shots.csv").read_bytes()
+
+    run(tmp_path / "rerun", "100000")
+    assert run(tmp_path / "rerun", "10") == run(tmp_path / "fresh", "10")
+
+
 def test_sample_writes_its_csv_to_a_pipe(tmp_path, capsys):
     # Standard output is a pipe here, not a regular file.
     argv = ["sample", "--scenario", "dim4-mixed", "--shots", "150000", "--seed", "3", "--out", str(tmp_path / "r.json")]

@@ -2,11 +2,14 @@
 
 from pathlib import Path
 
-from mutation_sweep import EQUIVALENT, main, mutants
+import mutation_sweep
+from mutation_sweep import EQUIVALENT, Mutant, main, mutants
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "contextsim"
 
 MODULE = '''"""Toy module."""
+
+import functools
 
 
 def is_positive(x):
@@ -35,10 +38,18 @@ def both(a, b):
 def either(a, b):
     # either(a, a) is a whichever operator joins the two.
     return a or b
+
+
+def outer(x):
+    @functools.cache
+    def inner(y):
+        return y + 1
+
+    return inner(x)
 '''
 TEST = '''import pytest
 
-from toy.numbers import both, check, clamp, either, is_positive
+from toy.numbers import both, check, clamp, either, is_positive, outer
 
 
 def test_is_positive():
@@ -57,6 +68,10 @@ def test_check():
 def test_boolean_operators():
     assert both(True, False) is False
     assert either(1, 1) == 1
+
+
+def test_outer():
+    assert outer(1) == 2
 '''
 
 
@@ -75,19 +90,22 @@ def test_mutants_flip_one_operator_each_in_source_order(tmp_path):
     module = write_toy(tmp_path)
     found = mutants(module)
     assert [(m.line, m.original, m.replacement) for m in found] == [
-        (5, "return x > 0", "pass"),
-        (5, "x > 0", ">="),
-        (10, "if x < 0:", "pass"),
-        (10, "x < 0", "<="),
-        (11, "return 0", "pass"),
-        (12, "return x", "pass"),
-        (17, "if not isinstance(x, int):", "pass"),
-        (18, "raise TypeError(x)", "pass"),
-        (20, "return x", "pass"),
-        (24, "return a and b", "pass"),
-        (24, "a and b", "or"),
-        (29, "return a or b", "pass"),
-        (29, "a or b", "and"),
+        (7, "return x > 0", "pass"),
+        (7, "x > 0", ">="),
+        (12, "if x < 0:", "pass"),
+        (12, "x < 0", "<="),
+        (13, "return 0", "pass"),
+        (14, "return x", "pass"),
+        (19, "if not isinstance(x, int):", "pass"),
+        (20, "raise TypeError(x)", "pass"),
+        (22, "return x", "pass"),
+        (26, "return a and b", "pass"),
+        (26, "a and b", "or"),
+        (31, "return a or b", "pass"),
+        (31, "a or b", "and"),
+        (35, "def inner(y):", "pass"),
+        (37, "return y + 1", "pass"),
+        (39, "return inner(x)", "pass"),
     ]
     assert found[1].source == MODULE.replace("x > 0", "x >= 0")
     assert found[3].source == MODULE.replace("x < 0", "x <= 0")
@@ -98,6 +116,10 @@ def test_mutants_flip_one_operator_each_in_source_order(tmp_path):
     assert found[12].source == MODULE.replace("a or b", "a and b")
     assert found[6].key == ("numbers.py", "if not isinstance(x, int):", "pass")
     assert found[12].key == ("numbers.py", "a or b", "and")
+    # A decorated function goes with its decorator, and every mutant compiles.
+    assert found[13].source == MODULE.replace("@functools.cache\n    def inner(y):\n        return y + 1", "pass")
+    for m in found:
+        compile(m.source, m.module, "exec")
 
 
 def test_chained_comparisons_and_non_ascii_lines_flip_the_right_operator(tmp_path):
@@ -129,13 +151,24 @@ def test_main_kills_one_mutant_reports_the_survivor_and_leaves_the_tree_alone(tm
     module = write_toy(tmp_path)
     assert main([str(module)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "numbers.py:10: x < 0  ->  <=  [NOT KILLED]",
-        "numbers.py:20: return x  ->  pass  [NOT KILLED]",
-        "numbers.py:29: a or b  ->  and  [NOT KILLED]",
-        "13 mutants, 10 killed, 3 survived (0 known equivalent)",
+        "numbers.py:12: x < 0  ->  <=  [NOT KILLED]",
+        "numbers.py:22: return x  ->  pass  [NOT KILLED]",
+        "numbers.py:31: a or b  ->  and  [NOT KILLED]",
+        "16 mutants, 13 killed, 3 survived (0 known equivalent)",
     ]
     assert module.read_text() == MODULE
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["__init__.py", "numbers.py", "test_toy.py"]
+
+
+def test_a_mutant_that_does_not_compile_is_a_sweep_error_not_a_kill(tmp_path, capsys, monkeypatch):
+    module = write_toy(tmp_path)
+    broken = Mutant("numbers.py", 7, "return x > 0", "pass", MODULE.replace("return x > 0", "return x >"))
+    monkeypatch.setattr(mutation_sweep, "mutants", lambda path: [broken])
+    assert main([str(module)]) == 1
+    error, summary = capsys.readouterr().out.splitlines()
+    assert error.startswith("numbers.py:7: return x > 0  ->  pass  [SWEEP ERROR: does not compile: ")
+    assert summary == "1 mutants, 0 killed, 0 survived (0 known equivalent), 1 sweep errors"
+    assert module.read_text() == MODULE
 
 
 def test_every_known_equivalent_names_a_comparison_in_the_package():

@@ -237,6 +237,43 @@ def test_a_failed_overwrite_leaves_no_stale_byte(tmp_path, monkeypatch):
     assert path.read_bytes() == written
 
 
+def test_a_rewrite_cuts_the_old_csv_to_its_header_before_the_first_row(tmp_path, monkeypatch):
+    # ext4 flushes on close a file truncated to size 0, so the old rows are
+    # cut to the header's length instead.
+    table = mixed_table()
+    path = tmp_path / "shots.csv"
+    write_shot_csv(sample(table, 10**6, seed=1), table, path)
+    render, sizes = sampler._csv_rows, []
+
+    def record_size(*args):
+        sizes.append(os.stat(path).st_size)
+        return render(*args)
+
+    monkeypatch.setattr(sampler, "_csv_rows", record_size)
+    write_shot_csv(sample(table, 10, seed=2), table, path)
+    assert sizes == [len(sampler._CSV_HEADER)]
+
+
+@pytest.mark.parametrize(
+    "old, through_link", [(b"", False), (b"a,b\r\n", False), (b"a,b\r\n", True)], ids=["empty", "shorter-than-header", "symlink"]
+)
+def test_a_rewrite_keeps_the_file_and_leaves_exactly_the_new_csv(tmp_path, old, through_link):
+    table = mixed_table()
+    shots = sample(table, 1000, seed=4)
+    target = tmp_path / "target.csv"
+    target.write_bytes(old)
+    target.chmod(0o640)
+    path = tmp_path / "link.csv" if through_link else target
+    if through_link:
+        path.symlink_to(target)
+    inode = os.stat(path).st_ino
+    write_shot_csv(shots, table, path)
+    assert path.read_bytes() == fresh_csv(tmp_path, shots, table)
+    assert os.stat(path).st_ino == inode
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert path.is_symlink() == through_link
+
+
 def test_null_device_takes_the_csv():
     table = mixed_table()
     write_shot_csv(sample(table, 2 * 10**5 + 7, seed=3), table, os.devnull)
