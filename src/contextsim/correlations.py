@@ -159,17 +159,20 @@ def joint_distribution(
     return JointTable(a.spectrum, b.spectrum, p)
 
 
-def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], np.ndarray]:
-    """Connected components of the bipartite support graph, as sorted
-    (left slots, right slots) pairs ordered by smallest left slot, and the
-    boolean mask ``spans`` of the cells (i, j) with j in left slot i's
-    component.
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _support_structure(mask: bytes, n: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool]:
+    """What a uniqueness report reads off an n x n support alone, kept per
+    pattern (the bytes of the boolean mask): the connected components of the
+    bipartite support graph, as sorted (left slots, right slots) pairs
+    ordered by smallest left slot, and whether each component fills its full
+    product of slots.
 
     Two left slots are adjacent when they share a populated right slot, which
     is the boolean product ``support @ support.T``; squaring it until it stops
     changing gives reachability, and ``spans = reach @ support`` the right
     slots each left slot reaches. Every component fills its full product of
     slots exactly when ``spans`` equals ``support``."""
+    support = np.frombuffer(mask, dtype=bool).reshape(n, n)
     reach = support @ support.T
     while not np.array_equal(closure := reach @ reach, reach):
         reach = closure
@@ -181,17 +184,6 @@ def _support_components(support: np.ndarray) -> tuple[list[tuple[tuple[int, ...]
             left = tuple(k for k, hit in enumerate(row) if hit)
             right = tuple(j for j, hit in enumerate(cols) if hit)
             components.append((left, right))
-    return components, spans
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _support_structure(mask: bytes, n: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], bool]:
-    """What a uniqueness report reads off an n x n support alone, kept per
-    pattern (the bytes of the boolean mask): the components of
-    :func:`_support_components`, and whether each component fills its full
-    product of slots."""
-    support = np.frombuffer(mask, dtype=bool).reshape(n, n)
-    components, spans = _support_components(support)
     return tuple(components), bool(np.array_equal(support, spans))
 
 

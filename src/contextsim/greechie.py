@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -70,12 +69,6 @@ class GreechieDiagram:
                 raise ValueError(f"rays have shape {rays.shape}, not ({n}, {self.dim})")
             rays.setflags(write=False)
             object.__setattr__(self, "rays", rays)
-        if self.dim == 2:
-            warnings.warn(
-                "dimension-2 blocks form isolated Boolean sublogics with no shared "
-                "observables; accepted for negative tests only",
-                stacklevel=3,
-            )
 
     @functools.cached_property
     def state_bits(self) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -94,12 +95,9 @@ def check_distinct_spectrum(values: Sequence[float]) -> tuple[float, ...]:
         raise ValueError("eigenvalues must be finite")
     # A float difference that overflows is inf, which counts as distinct.
     tol = MERGE_TOL * max(1.0, max(map(abs, spectrum), default=0.0))
-    for i in range(len(spectrum)):
-        for j in range(i + 1, len(spectrum)):
-            if abs(spectrum[i] - spectrum[j]) <= tol:
-                raise DegenerateSpectrumError(
-                    f"eigenvalues {spectrum[i]} and {spectrum[j]} coincide within {tol}"
-                )
+    for x, y in itertools.combinations(spectrum, 2):
+        if abs(x - y) <= tol:
+            raise DegenerateSpectrumError(f"eigenvalues {x} and {y} coincide within {tol}")
     return spectrum
 
 
@@ -197,18 +195,19 @@ def _named_rays(name: str) -> RaySet:
     return RaySet(np.array(_NAMED_RAYS[name], dtype=complex))
 
 
-def ks_context(alpha: float, beta: float, gamma: float, label: str = "C_KS") -> ContextOperator:
+def ks_context(alpha: float, beta: float, gamma: float) -> ContextOperator:
     """First tripod context: outcome rays (0,1,0), (1,0,1)/sqrt2 and
-    (-1,0,1)/sqrt2 carrying alpha, beta, gamma. Its matrix is the paper's
-    combination of squared spin components along x, y and z."""
-    return ContextOperator(_named_rays("ks"), (alpha, beta, gamma), label)
+    (-1,0,1)/sqrt2 carrying alpha, beta, gamma, labelled ``C_KS``. Its
+    matrix is the paper's combination of squared spin components along x, y
+    and z."""
+    return ContextOperator(_named_rays("ks"), (alpha, beta, gamma), "C_KS")
 
 
-def ks_context_prime(alpha: float, beta: float, gamma: float, label: str = "C_KS'") -> ContextOperator:
+def ks_context_prime(alpha: float, beta: float, gamma: float) -> ContextOperator:
     """Second tripod context: :func:`ks_context` rotated by 45 degrees about
     z, sharing the ray (0,1,0) with it; the other outcome rays are
-    (-i,0,1)/sqrt2 and (i,0,1)/sqrt2."""
-    return ContextOperator(_named_rays("ks'"), (alpha, beta, gamma), label)
+    (-i,0,1)/sqrt2 and (i,0,1)/sqrt2. Labelled ``C_KS'``."""
+    return ContextOperator(_named_rays("ks'"), (alpha, beta, gamma), "C_KS'")
 
 
 class FourDimContexts(NamedTuple):

@@ -67,7 +67,7 @@ EQUIVALENT = {
     ("cli.py", "abs(contracted - exact) > tol", ">="): "a contraction exactly CLOSED_FORM_TOL off",
     ("cli.py", "abs(exact - closed) > tol", ">="): "a closed form exactly CLOSED_FORM_TOL off",
     ("observables.py", "theta > math.pi", ">="): "theta = pi folds phi differently for the same pole",
-    ("observables.py", "abs(spectrum[i] - spectrum[j]) <= tol", "<"): "an eigenvalue gap exactly MERGE_TOL",
+    ("observables.py", "abs(x - y) <= tol", "<"): "an eigenvalue gap exactly MERGE_TOL",
     ("observables.py", "float(np.abs(defect).max()) > BASIS_TOL", ">="): "a Gram defect exactly BASIS_TOL",
     ("sampler.py", 'tails = tails.view(f"V{tails.itemsize}")', "pass"): "numpy copies bytes (S) elements byte for byte too; the view states that the copy is raw",
     ("cli.py", "del payload", "pass"): "frees the report early, for peak memory only; no output byte changes",

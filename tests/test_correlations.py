@@ -12,7 +12,7 @@ from contextsim import correlations, greechie
 from contextsim.correlations import (
     JointTable,
     _permutations,
-    _support_components,
+    _support_structure,
     contextuality_criterion,
     expectation,
     joint_distribution,
@@ -276,13 +276,13 @@ def test_support_components_match_a_breadth_first_search_on_every_pattern(dim):
     # verify_uniqueness reads "one populated cell per row and column" as "dim components".
     one_per_line = ((patterns.sum(axis=1) == 1).all(axis=1) & (patterns.sum(axis=2) == 1).all(axis=1)).tolist()
     for pattern, single in zip(patterns, one_per_line):
-        components, spans = _support_components(pattern)
+        components, block_structured = _support_structure.__wrapped__(pattern.tobytes(), dim)
         expected = breadth_first_components(pattern)
-        assert components == expected
+        assert components == tuple(expected)
         assert (len(components) == dim) == single
         # Oracle for block_structured: every component fills its full product of slots.
         filled = all(pattern[np.ix_(left, right)].all() for left, right in expected)
-        assert np.array_equal(pattern, spans) == filled
+        assert block_structured == filled
 
 
 def table_on_pattern(rng, pattern):
@@ -309,12 +309,12 @@ def test_uniqueness_reports_match_a_fresh_computation_on_every_3x3_pattern():
         best = perms[masses.index(max(masses))]
         violation_mass = float(p.sum() - max(masses))
         one_per_line = bool(np.all(pattern.sum(axis=1) == 1) and np.all(pattern.sum(axis=0) == 1))
-        components, spans = _support_components(pattern)
+        components, block_structured = _support_structure.__wrapped__(pattern.tobytes(), 3)
         assert report.pairing == tuple((i, best[i]) for i in range(3) if pattern[i, best[i]])
         assert report.violation_mass == violation_mass
         assert report.is_unique == (one_per_line and violation_mass <= 1e-10)
-        assert report.blocks == tuple(components)
-        assert report.block_structured == np.array_equal(pattern, spans)
+        assert report.blocks == components
+        assert report.block_structured == block_structured
 
 
 def test_support_memo_stays_within_its_bound():

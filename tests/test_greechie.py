@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,12 +295,23 @@ def test_peres_triads_form_a_separating_diagram_with_3072_states():
 
 def test_unsatisfiable_diagram_yields_no_states():
     # triangle of two-atom blocks: exactly-one-per-edge has no solution
-    with pytest.warns(UserWarning):
-        diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1), (1, 2), (0, 2)), dim=2)
+    diagram = GreechieDiagram(atom_ids=("a", "b", "c"), blocks=((0, 1), (1, 2), (0, 2)), dim=2)
     assert len(two_valued_states(diagram)) == 0
     separating, witness = is_separating(states_view(diagram.atom_ids, []), diagram)
     assert not separating
     assert witness == ("a", "b")
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_a_diagram_of_any_dimension_builds_without_a_warning(dim):
+    # Two blocks sharing one atom: either it holds the 1, or each block puts
+    # its 1 on one of its dim - 1 other atoms.
+    ids = tuple(f"a{k}" for k in range(2 * dim - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagram = GreechieDiagram(atom_ids=ids, blocks=(range(dim), range(dim - 1, 2 * dim - 1)), dim=dim)
+    assert link_atoms(diagram) == [f"a{dim - 1}"]
+    assert len(two_valued_states(diagram)) == 1 + (dim - 1) ** 2
 
 
 def test_named_diagrams_are_separating():

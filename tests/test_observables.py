@@ -289,6 +289,14 @@ def test_distinct_is_relative_to_the_spectrum_scale():
         context_from_basis(np.eye(3, dtype=complex), (0.5, 0.5 + 5e-9, 0.25))
 
 
+def test_a_degenerate_spectrum_names_its_first_coinciding_pair_in_the_order_given():
+    # Sorting first would name (1.0, 1.000000001) for both spectra.
+    with pytest.raises(DegenerateSpectrumError, match=r"^eigenvalues 1\.000000001 and 1\.0 coincide within 5e-08$"):
+        check_distinct_spectrum((5.0, 1.0 + 1e-9, 1.0))
+    with pytest.raises(DegenerateSpectrumError, match=r"^eigenvalues 1\.0 and 1\.000000001 coincide within 5e-08$"):
+        check_distinct_spectrum((1.0, 5.0, 1.0 + 1e-9, 1.0 + 2e-9))
+
+
 def test_rays_off_unit_norm_keep_the_declared_spectrum():
     # The basis check accepts norms 1 +- 1e-8; the synthesis must divide them out.
     rays = np.array([[INV_SQRT2, 0, INV_SQRT2], [0, 1, 0], [-INV_SQRT2, 0, INV_SQRT2]])
